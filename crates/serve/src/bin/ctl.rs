@@ -475,6 +475,15 @@ fn cmd_stats(client: &mut HardenedClient) {
                  {} malformed lines answered BadRequest",
                 stats.idle_reaped, stats.oversized_rejected, stats.malformed_lines
             );
+            // How well pipelined answers share writes: 1.0 means a
+            // syscall per response (depth-1 clients, or answers that all
+            // come from workers); a batch of inline answers pushes it up.
+            println!(
+                "writes: {} responses in {} flushes ({:.1} per flush)",
+                stats.responses,
+                stats.flushes,
+                stats.responses as f64 / stats.flushes.max(1) as f64
+            );
             println!(
                 "{}",
                 serde_json::to_string_pretty(&stats).expect("stats encodes")

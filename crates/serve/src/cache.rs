@@ -15,15 +15,18 @@
 //! are hundreds of entries guarding seconds-long computations, so the
 //! scan is noise.
 
-use crate::wire::ResponseKind;
+use crate::wire::{EncodedResult, ResponseKind};
 use ktudc_model::hashing::StableHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 struct Entry {
     /// Full canonical body, kept to guard against digest collisions.
     canon: String,
-    value: ResponseKind,
+    /// The outcome next to its wire encoding, so a hit costs a reference
+    /// count and a copy of bytes, not a clone and a re-encode.
+    value: Arc<EncodedResult>,
     last_used: u64,
 }
 
@@ -55,7 +58,7 @@ impl LruCache {
     }
 
     /// Looks up the outcome of a canonical body, refreshing its recency.
-    pub fn get(&mut self, canon: &str) -> Option<ResponseKind> {
+    pub fn get(&mut self, canon: &str) -> Option<Arc<EncodedResult>> {
         self.clock += 1;
         let entry = self.entries.get_mut(&Self::key_of(canon))?;
         if entry.canon != canon {
@@ -63,16 +66,19 @@ impl LruCache {
             return None;
         }
         entry.last_used = self.clock;
-        Some(entry.value.clone())
+        Some(Arc::clone(&entry.value))
     }
 
     /// Stores an outcome, evicting the least-recently-used entry at
     /// capacity. A digest collision overwrites the incumbent (one of the
     /// two scenarios stays uncached; correctness is preserved by the
-    /// canonical-string check in [`LruCache::get`]).
-    pub fn insert(&mut self, canon: String, value: ResponseKind) {
+    /// canonical-string check in [`LruCache::get`]). Returns the outcome
+    /// with the encoding made for the entry, for the caller to answer
+    /// from.
+    pub fn insert(&mut self, canon: String, value: ResponseKind) -> Arc<EncodedResult> {
+        let value = Arc::new(EncodedResult::new(value));
         if self.capacity == 0 {
-            return;
+            return value;
         }
         self.clock += 1;
         let key = Self::key_of(&canon);
@@ -85,10 +91,11 @@ impl LruCache {
             key,
             Entry {
                 canon,
-                value,
+                value: Arc::clone(&value),
                 last_used: self.clock,
             },
         );
+        value
     }
 
     /// Exports every cached outcome, least-recently-used first, so that
@@ -102,7 +109,7 @@ impl LruCache {
         entries.sort_by_key(|&(_, last_used)| last_used);
         entries
             .into_iter()
-            .map(|(e, _)| (e.canon.clone(), e.value.clone()))
+            .map(|(e, _)| (e.canon.clone(), e.value.kind().clone()))
             .collect()
     }
 
@@ -138,6 +145,11 @@ impl LruCache {
 mod tests {
     use super::*;
 
+    /// The cached payload under `canon`, without its encoding.
+    fn get(cache: &mut LruCache, canon: &str) -> Option<ResponseKind> {
+        cache.get(canon).map(|hit| hit.kind().clone())
+    }
+
     fn outcome(tag: u64) -> ResponseKind {
         ResponseKind::Explore(ktudc_sim::ExploreOutcome {
             runs: tag as usize,
@@ -152,7 +164,7 @@ mod tests {
         let mut cache = LruCache::new(4);
         assert!(cache.get("a").is_none());
         cache.insert("a".to_string(), outcome(1));
-        assert_eq!(cache.get("a"), Some(outcome(1)));
+        assert_eq!(get(&mut cache, "a"), Some(outcome(1)));
         assert!(cache.get("b").is_none());
         assert_eq!(cache.len(), 1);
     }
@@ -178,8 +190,8 @@ mod tests {
         cache.insert("b".to_string(), outcome(2));
         cache.insert("a".to_string(), outcome(9));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get("a"), Some(outcome(9)));
-        assert_eq!(cache.get("b"), Some(outcome(2)));
+        assert_eq!(get(&mut cache, "a"), Some(outcome(9)));
+        assert_eq!(get(&mut cache, "b"), Some(outcome(2)));
     }
 
     #[test]
@@ -205,9 +217,9 @@ mod tests {
 
         let mut revived = LruCache::new(3);
         revived.warm_load(exported);
-        assert_eq!(revived.get("a"), Some(outcome(1)));
-        assert_eq!(revived.get("b"), Some(outcome(2)));
-        assert_eq!(revived.get("c"), Some(outcome(3)));
+        assert_eq!(get(&mut revived, "a"), Some(outcome(1)));
+        assert_eq!(get(&mut revived, "b"), Some(outcome(2)));
+        assert_eq!(get(&mut revived, "c"), Some(outcome(3)));
 
         // Recency survived the round trip: inserting a fourth entry must
         // evict "b" (the pre-export LRU victim), not "a".

@@ -73,6 +73,7 @@ pub mod cache;
 pub mod chaosnet;
 pub mod client;
 pub mod cluster;
+mod conn;
 pub mod detector;
 pub mod metrics;
 pub mod ring;
@@ -93,7 +94,8 @@ pub use router::{serve_router, RouterConfig, RouterHandle};
 pub use server::{serve, RecoveryReport, ServeConfig, ServerFaults, ServerHandle};
 pub use supervisor::{supervise, CrashLoopBackoff, SupervisorPolicy, SupervisorReport};
 pub use wire::{
-    AbortedOutcome, CheckOutcome, CheckSpec, ClusterHealthReport, ErrorCode, HealthReport,
-    PartialCell, PartialOutcome, Request, RequestKind, RequestOptions, Response, ResponseKind,
-    ShardHealth, WireError, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    AbortedOutcome, CheckOutcome, CheckSpec, ClusterHealthReport, EncodedResult, Envelope,
+    ErrorCode, HealthReport, PartialCell, PartialOutcome, Request, RequestKind, RequestOptions,
+    Response, ResponseKind, ShardHealth, WireError, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };

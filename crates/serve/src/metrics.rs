@@ -141,6 +141,10 @@ pub struct Metrics {
     idle_reaped: AtomicU64,
     oversized_rejected: AtomicU64,
     malformed_lines: AtomicU64,
+    /// Response lines handed to a connection's write buffer.
+    responses: AtomicU64,
+    /// Write syscalls those buffers were emptied with.
+    flushes: AtomicU64,
     per: [EndpointMetrics; 9],
     /// Time admitted compute requests spent between acceptance and a
     /// worker picking them up. Global (not per-endpoint): the queue is
@@ -169,6 +173,8 @@ impl Metrics {
             idle_reaped: AtomicU64::new(0),
             oversized_rejected: AtomicU64::new(0),
             malformed_lines: AtomicU64::new(0),
+            responses: AtomicU64::new(0),
+            flushes: AtomicU64::new(0),
             per: std::array::from_fn(|_| EndpointMetrics::new()),
             queue_wait: Mutex::new(LatencyRing::new()),
             compute: Mutex::new(LatencyRing::new()),
@@ -263,6 +269,21 @@ impl Metrics {
         self.malformed_lines.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one outgoing response line and returns its 1-based
+    /// sequence number — one monotone sequence across all connections,
+    /// which is what [`ServerFaults`](crate::server::ServerFaults) fire
+    /// on. `SeqCst` because concurrent writers must each see a distinct
+    /// number for "every k-th response" to mean exactly that.
+    pub fn next_response(&self) -> u64 {
+        self.responses.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Records one write syscall emptying a connection's response
+    /// buffer. `responses / flushes` is how many lines a write carries.
+    pub fn record_flush(&self) {
+        self.flushes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshots everything into a wire-serializable report. Queue and
     /// cache occupancy plus the pool's steal counters are passed in by
     /// the server, which owns them.
@@ -334,6 +355,8 @@ impl Metrics {
                 cacheable_hits as f64 / cacheable_requests as f64
             },
             endpoints,
+            responses: self.responses.load(Ordering::Relaxed),
+            flushes: self.flushes.load(Ordering::Relaxed),
             suspicion: None,
         }
     }
@@ -464,6 +487,13 @@ pub struct StatsReport {
     pub cache_hit_rate: f64,
     /// Per-endpoint counters, in [`Endpoint::ALL`] order.
     pub endpoints: Vec<EndpointStats>,
+    /// Response lines written since start, on every connection. Absent
+    /// from reports of older servers; read as 0 then.
+    pub responses: u64,
+    /// Write syscalls those lines went out in: a pipelined batch of
+    /// inline answers shares one, so `responses / flushes` reads the
+    /// coalescing off a live daemon. Absent from older reports; 0 then.
+    pub flushes: u64,
     /// Detector-plane counters (schema v6). `None` — and omitted from
     /// the encoding, so a v5 stats line is a valid v6 stats line — on
     /// processes without a detector plane.
@@ -472,7 +502,9 @@ pub struct StatsReport {
 
 // Hand-encoded like the envelope types in `wire`: the v6 `suspicion`
 // field is omitted when `None` and defaulted when missing, keeping v5
-// and v6 stats lines mutually parseable.
+// and v6 stats lines mutually parseable; `responses` and `flushes` are
+// always written and defaulted when missing, and older readers look
+// fields up by name, so they never see them.
 impl Serialize for StatsReport {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
@@ -516,6 +548,8 @@ impl Serialize for StatsReport {
             ("deepest_queue".to_string(), self.deepest_queue.to_value()),
             ("cache_hit_rate".to_string(), self.cache_hit_rate.to_value()),
             ("endpoints".to_string(), self.endpoints.to_value()),
+            ("responses".to_string(), self.responses.to_value()),
+            ("flushes".to_string(), self.flushes.to_value()),
         ];
         if let Some(suspicion) = &self.suspicion {
             fields.push(("suspicion".to_string(), suspicion.to_value()));
@@ -550,6 +584,8 @@ impl Deserialize for StatsReport {
             deepest_queue: usize::from_value(required("deepest_queue")?)?,
             cache_hit_rate: f64::from_value(required("cache_hit_rate")?)?,
             endpoints: Vec::<EndpointStats>::from_value(required("endpoints")?)?,
+            responses: v.get("responses").map_or(Ok(0), u64::from_value)?,
+            flushes: v.get("flushes").map_or(Ok(0), u64::from_value)?,
             suspicion: match v.get("suspicion") {
                 None => None,
                 Some(s) => Some(SuspicionStats::from_value(s)?),
@@ -680,6 +716,28 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains(r#""suspicion":{"probes_sent":120"#));
         assert_eq!(serde_json::from_str::<StatsReport>(&json).unwrap(), report);
+    }
+
+    #[test]
+    fn response_and_flush_counters_are_additive_on_the_wire() {
+        let m = Metrics::new();
+        assert_eq!((m.next_response(), m.next_response()), (1, 2));
+        m.next_response();
+        m.record_flush();
+        let report = m.report(PoolCounters::default(), 0, 0);
+        assert_eq!((report.responses, report.flushes), (3, 1));
+
+        // Always written, after the fields older readers know and before
+        // the optional `suspicion` block.
+        let json = serde_json::to_string(&report).unwrap();
+        assert!(json.ends_with(r#"],"responses":3,"flushes":1}"#), "{json}");
+        assert_eq!(serde_json::from_str::<StatsReport>(&json).unwrap(), report);
+
+        // A line from a server that predates them reads as zeros.
+        let legacy = json.replace(r#","responses":3,"flushes":1"#, "");
+        let parsed: StatsReport = serde_json::from_str(&legacy).unwrap();
+        assert_eq!((parsed.responses, parsed.flushes), (0, 0));
+        assert_eq!(parsed.endpoints, report.endpoints);
     }
 
     #[test]

@@ -38,16 +38,17 @@
 
 use crate::client::{ClientError, HardenedClient, RetryPolicy};
 use crate::cluster::{ClusterClient, Membership};
+use crate::conn::{self, Outbox};
 use crate::detector::{DetectorConfig, DetectorPlane};
 use crate::metrics::{Metrics, PoolCounters};
 use crate::ring::HashRing;
-use crate::server::{BoundedLineReader, LineEvent};
+use crate::server::ServerFaults;
 use crate::wire::{
-    ClusterHealthReport, ErrorCode, HealthReport, Request, RequestKind, RequestOptions, Response,
-    ResponseKind, ShardHealth, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    encode_result, ClusterHealthReport, ErrorCode, HealthReport, Request, RequestKind,
+    RequestOptions, Response, ResponseKind, ShardHealth, MAX_REQUEST_LINE_BYTES,
+    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 use ktudc_par::{Pool, SubmitError};
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -129,7 +130,9 @@ struct RouterShared {
     restarts_observed: AtomicU64,
     /// Requests answered by a replica other than their owner shard.
     failovers: AtomicU64,
-    metrics: Metrics,
+    /// Shared with every connection's [`Outbox`] (response and flush
+    /// counts).
+    metrics: Arc<Metrics>,
     workers: usize,
     queue_capacity: usize,
     /// Per-connection idle read deadline; `None` disables reaping.
@@ -410,7 +413,7 @@ pub fn serve_router(
         last_gen: (0..shards).map(|_| AtomicU64::new(GEN_UNSEEN)).collect(),
         restarts_observed: AtomicU64::new(0),
         failovers: AtomicU64::new(0),
-        metrics: Metrics::new(),
+        metrics: Arc::new(Metrics::new()),
         workers,
         queue_capacity: config.queue_capacity,
         idle_timeout: (config.idle_timeout_ms > 0)
@@ -458,53 +461,28 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
 }
 
 fn connection_loop(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok((reader, out)) = conn::open(
+        stream,
+        shared.idle_timeout,
+        MAX_REQUEST_LINE_BYTES,
+        &shared.metrics,
+        ServerFaults::default(),
+    ) else {
         return;
     };
-    let out = Arc::new(Mutex::new(stream));
-    let Ok(mut reader) =
-        BoundedLineReader::new(read_half, shared.idle_timeout, MAX_REQUEST_LINE_BYTES)
-    else {
-        return;
-    };
-    loop {
-        match reader.next_line() {
-            LineEvent::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                handle_line(shared, &line, &out);
-            }
-            LineEvent::Oversized => {
-                shared.metrics.record_oversized();
-                write_response(
-                    &out,
-                    SCHEMA_VERSION,
-                    Response::error(
-                        0,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    ),
-                );
-                break;
-            }
-            LineEvent::IdleTimeout => {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.metrics.record_idle_reap();
-                }
-                break;
-            }
-            LineEvent::Eof => break,
-        }
-    }
+    // The router's own answers carry generation 0; only forwarded ones
+    // carry a worker's.
+    reader.serve(0, &shared.shutdown, |line| {
+        handle_line(shared, line, &out);
+    });
 }
 
-fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
+fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Outbox>) {
     let request: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
             shared.metrics.record_malformed();
-            write_response(
+            respond(
                 out,
                 SCHEMA_VERSION,
                 Response::error(0, ErrorCode::BadRequest, e.to_string()),
@@ -513,7 +491,7 @@ fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Mutex<TcpStream
         }
     };
     if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&request.schema_version) {
-        write_response(
+        respond(
             out,
             SCHEMA_VERSION,
             Response::error(
@@ -558,7 +536,7 @@ fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Mutex<TcpStream
             }
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 out,
                 version,
                 Response::new(request.id, false, micros, ResponseKind::Stats(report)),
@@ -568,17 +546,20 @@ fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Mutex<TcpStream
             let report = shared.health_report();
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 out,
                 version,
                 Response::new(request.id, false, micros, ResponseKind::Health(report)),
             );
         }
         RequestKind::ClusterHealth => {
+            // The probe fan-out waits out a dead shard's timeout; inline
+            // answers queued ahead of this one must not wait with it.
+            out.flush();
             let report = shared.cluster_health();
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 out,
                 version,
                 Response::new(
@@ -594,7 +575,7 @@ fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Mutex<TcpStream
             // queued behind forwarding (a saturated router still pongs).
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 out,
                 version,
                 Response::new(request.id, false, micros, ResponseKind::Pong),
@@ -604,7 +585,7 @@ fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Mutex<TcpStream
             shared.shutdown.store(true, Ordering::SeqCst);
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 out,
                 version,
                 Response::new(request.id, false, micros, ResponseKind::Shutdown),
@@ -637,7 +618,7 @@ fn dispatch_forward(
     kind: RequestKind,
     options: RequestOptions,
     start: Instant,
-    out: &Arc<Mutex<TcpStream>>,
+    out: &Arc<Outbox>,
 ) {
     let endpoint = kind.endpoint();
     let job = {
@@ -661,7 +642,7 @@ fn dispatch_forward(
                     )
                 }
             };
-            write_response(&out, version, response);
+            respond(&out, version, response);
         }
     };
     let submitted = {
@@ -675,7 +656,7 @@ fn dispatch_forward(
         Ok(()) => {}
         Err(SubmitError::Full) => {
             shared.metrics.record_overload(endpoint);
-            write_response(
+            respond(
                 out,
                 version,
                 Response::error_with_retry(
@@ -688,7 +669,7 @@ fn dispatch_forward(
         }
         Err(SubmitError::Closed) => {
             shared.metrics.record_error(endpoint);
-            write_response(
+            respond(
                 out,
                 version,
                 Response::error(id, ErrorCode::ShuttingDown, "router is draining"),
@@ -697,19 +678,15 @@ fn dispatch_forward(
     }
 }
 
-/// Writes one response line. Unlike the worker's writer this never
-/// overwrites `generation` — a forwarded response carries the answering
-/// *worker's* generation, which is the whole point of per-shard restart
-/// tracking. The version is rewritten to the one the requester spoke.
-fn write_response(out: &Mutex<TcpStream>, version: u32, mut response: Response) {
-    response.schema_version = version;
-    let Ok(mut line) = serde_json::to_string(&response) else {
-        return;
-    };
-    line.push('\n');
-    let mut stream = out.lock().expect("stream lock poisoned");
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.flush();
+/// Queues one response line on the connection. Unlike the worker's
+/// `respond` this never overwrites `generation` — a forwarded response
+/// carries the answering *worker's* generation, which is the whole point
+/// of per-shard restart tracking. The version is rewritten to the one
+/// the requester spoke.
+fn respond(out: &Outbox, version: u32, response: Response) {
+    let mut envelope = response.envelope();
+    envelope.schema_version = version;
+    out.send(&envelope, &encode_result(&response.result));
 }
 
 fn elapsed_micros(start: Instant) -> u64 {

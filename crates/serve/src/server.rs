@@ -6,10 +6,11 @@
 //! Each connection gets a reader thread that parses request lines and
 //! dispatches them; the actual computations run on a shared bounded
 //! [`Pool`], so a connection burst cannot spawn unbounded compute. Each
-//! connection's write half sits behind a mutex shared by the reader (for
-//! inline answers: cache hits, stats, errors) and the workers (for
-//! computed answers), which is what lets responses stream back in
-//! completion order.
+//! connection's write half (`serve::conn`) sits behind a mutex shared
+//! by the reader (for inline answers: cache hits, stats, errors) and the
+//! workers (for computed answers), which is what lets responses stream
+//! back in completion order; a pipelined batch of inline answers leaves
+//! in one write.
 //!
 //! # Backpressure
 //!
@@ -30,11 +31,13 @@
 
 use crate::admission::{estimated_wait_micros, AimdConfig, AimdController, JobRegistry};
 use crate::cache::LruCache;
+use crate::conn::{self, Outbox};
 use crate::metrics::{Metrics, PoolCounters};
 use crate::wire::{
-    AbortedOutcome, CheckOutcome, ClusterHealthReport, ErrorCode, HealthReport, PartialCell,
-    PartialOutcome, Request, RequestKind, RequestOptions, Response, ResponseKind, ShardHealth,
-    WireError, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    encode_result, AbortedOutcome, CheckOutcome, ClusterHealthReport, Envelope, ErrorCode,
+    HealthReport, PartialCell, PartialOutcome, Request, RequestKind, RequestOptions, Response,
+    ResponseKind, ShardHealth, WireError, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 use ktudc_core::harness::{run_cell_budgeted, CellStatus};
 use ktudc_epistemic::ModelChecker;
@@ -47,7 +50,6 @@ use ktudc_sim::{
 };
 use ktudc_store::SnapshotStore;
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -62,9 +64,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Test-only server fault injection, applied at the response-writing
 /// boundary. Every field counts *responses* (a shared monotone sequence
 /// across all connections): the k-th, 2k-th, … response suffers the
-/// fault. The default injects nothing; production paths never construct
-/// anything else. This is the server half of the chaos soak — the
-/// [`HardenedClient`](crate::client::HardenedClient) must mask all of it.
+/// fault, after every response buffered ahead of it on its connection
+/// has been written. The default injects nothing; production paths never
+/// construct anything else. This is the server half of the chaos soak —
+/// the [`HardenedClient`](crate::client::HardenedClient) must mask all of
+/// it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerFaults {
     /// Sleep for the given duration before writing every k-th response
@@ -180,7 +184,7 @@ struct Waiter {
     id: u64,
     /// The schema version the waiter's request spoke (echoed back).
     version: u32,
-    out: Arc<Mutex<TcpStream>>,
+    out: Arc<Outbox>,
     start: Instant,
 }
 
@@ -194,7 +198,9 @@ struct Shared {
     /// severed connection while the original job still runs). Lock order
     /// is always `pending` → `cache`.
     pending: Mutex<HashMap<String, Vec<Waiter>>>,
-    metrics: Metrics,
+    /// Shared with every connection's [`Outbox`], which counts responses
+    /// (the sequence [`ServerFaults`] fire on) and flushes in it.
+    metrics: Arc<Metrics>,
     /// Adaptive concurrency limit over queued + in-flight compute jobs.
     admission: AimdController,
     /// Running compute jobs' budget heartbeats, for the watchdog.
@@ -204,8 +210,6 @@ struct Shared {
     /// Per-connection idle read deadline; `None` disables reaping.
     idle_timeout: Option<Duration>,
     faults: ServerFaults,
-    /// Monotone response sequence number driving [`ServerFaults`].
-    responses: AtomicU64,
     /// This boot's generation, stamped into every outgoing response.
     generation: u64,
     /// The bound listen address (port 0 resolved), so the server can
@@ -449,7 +453,7 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         pool: Mutex::new(Some(Pool::new(workers, config.queue_capacity))),
         cache: Mutex::new(cache),
         pending: Mutex::new(HashMap::new()),
-        metrics: Metrics::new(),
+        metrics: Arc::new(Metrics::new()),
         admission: AimdController::new(AimdConfig {
             target_p99_micros: config.target_p99_ms.saturating_mul(1_000),
             // Never clamp below the worker count: an admission limit the
@@ -464,7 +468,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         idle_timeout: (config.idle_timeout_ms > 0)
             .then(|| Duration::from_millis(config.idle_timeout_ms)),
         faults: config.faults,
-        responses: AtomicU64::new(0),
         generation: recovery.generation,
         addr: addr.to_string(),
         recovery,
@@ -524,132 +527,28 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     shared.snapshot_now();
 }
 
-/// What [`BoundedLineReader::next_line`] observed on the socket.
-pub(crate) enum LineEvent {
-    /// A complete newline-terminated line (lossy UTF-8; the delimiter
-    /// stripped). Invalid bytes surface as replacement characters and
-    /// fail JSON parsing downstream — a typed `BadRequest`, never a
-    /// stall.
-    Line(String),
-    /// The peer accumulated more than the frame cap without a newline.
-    Oversized,
-    /// No bytes arrived within the idle deadline (a half-open or merely
-    /// silent peer — this includes a partial frame followed by
-    /// silence).
-    IdleTimeout,
-    /// Clean close, or an unrecoverable read error.
-    Eof,
-}
-
-/// A line reader with the two bounds a hostile or broken peer forces on
-/// a production accept loop: a per-read idle deadline (so a half-open
-/// connection is reaped instead of pinning its thread forever) and a
-/// frame-size cap (so a newline-less firehose cannot grow server memory
-/// without limit). Shared by the server and router connection loops.
-pub(crate) struct BoundedLineReader {
-    stream: TcpStream,
-    pending: Vec<u8>,
-    max_line: usize,
-}
-
-impl BoundedLineReader {
-    /// Arms `stream` with the idle deadline (`None` = block forever)
-    /// and wraps it. Fails only if the socket rejects the timeout.
-    pub(crate) fn new(
-        stream: TcpStream,
-        idle_timeout: Option<Duration>,
-        max_line: usize,
-    ) -> std::io::Result<Self> {
-        stream.set_read_timeout(idle_timeout)?;
-        Ok(BoundedLineReader {
-            stream,
-            pending: Vec::new(),
-            max_line,
-        })
-    }
-
-    /// Blocks (up to the idle deadline) for the next complete line.
-    pub(crate) fn next_line(&mut self) -> LineEvent {
-        use std::io::Read;
-        loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
-            }
-            if self.pending.len() > self.max_line {
-                return LineEvent::Oversized;
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return LineEvent::Eof,
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return LineEvent::IdleTimeout;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return LineEvent::Eof,
-            }
-        }
-    }
-}
-
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok((reader, out)) = conn::open(
+        stream,
+        shared.idle_timeout,
+        MAX_REQUEST_LINE_BYTES,
+        &shared.metrics,
+        shared.faults,
+    ) else {
         return;
     };
-    let out = Arc::new(Mutex::new(stream));
-    let Ok(mut reader) =
-        BoundedLineReader::new(read_half, shared.idle_timeout, MAX_REQUEST_LINE_BYTES)
-    else {
-        return;
-    };
-    loop {
-        match reader.next_line() {
-            LineEvent::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                handle_line(shared, &line, &out);
-            }
-            LineEvent::Oversized => {
-                shared.metrics.record_oversized();
-                write_response(
-                    shared,
-                    &out,
-                    SCHEMA_VERSION,
-                    Response::error(
-                        0,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    ),
-                );
-                break;
-            }
-            LineEvent::IdleTimeout => {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.metrics.record_idle_reap();
-                }
-                break;
-            }
-            LineEvent::Eof => break,
-        }
-    }
+    reader.serve(shared.generation, &shared.shutdown, |line| {
+        handle_line(shared, line, &out);
+    });
 }
 
-fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
+fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Outbox>) {
     let request: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
             // No recoverable id: 0 marks an unattributable failure.
             shared.metrics.record_malformed();
-            write_response(
+            respond(
                 shared,
                 out,
                 SCHEMA_VERSION,
@@ -659,7 +558,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
         }
     };
     if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&request.schema_version) {
-        write_response(
+        respond(
             shared,
             out,
             SCHEMA_VERSION,
@@ -698,7 +597,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
             );
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 shared,
                 out,
                 version,
@@ -709,7 +608,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
             let report = shared.health_report();
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 shared,
                 out,
                 version,
@@ -724,7 +623,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
             // generation; the body is deliberately empty.
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 shared,
                 out,
                 version,
@@ -744,7 +643,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
             )]);
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 shared,
                 out,
                 version,
@@ -760,7 +659,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
             shared.shutdown.store(true, Ordering::SeqCst);
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
-            write_response(
+            respond(
                 shared,
                 out,
                 version,
@@ -799,11 +698,11 @@ fn dispatch_compute(
     kind: RequestKind,
     options: RequestOptions,
     start: Instant,
-    out: &Arc<Mutex<TcpStream>>,
+    out: &Arc<Outbox>,
 ) {
     let endpoint = kind.endpoint();
     let Ok(canon) = serde_json::to_string(&kind) else {
-        write_response(
+        respond(
             shared,
             out,
             version,
@@ -826,7 +725,13 @@ fn dispatch_compute(
             drop(pending);
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, true);
-            write_response(shared, out, version, Response::new(id, true, micros, hit));
+            send_line(
+                shared,
+                out,
+                version,
+                Envelope::new(id, true, micros),
+                hit.json(),
+            );
             return;
         }
         // Deadline-carrying requests skip the single-flight table: their
@@ -857,7 +762,7 @@ fn dispatch_compute(
             if est_wait_micros >= deadline_ms.saturating_mul(1_000) {
                 drop(pending);
                 shared.metrics.record_shed_deadline(endpoint);
-                write_response(
+                respond(
                     shared,
                     out,
                     version,
@@ -877,7 +782,7 @@ fn dispatch_compute(
         if !shared.admission.try_admit(occupancy, options.priority) {
             drop(pending);
             shared.metrics.record_overload(endpoint);
-            write_response(
+            respond(
                 shared,
                 out,
                 version,
@@ -933,31 +838,34 @@ fn dispatch_compute(
             match outcome {
                 Ok(result) => {
                     // Publish to the cache and claim the waiters atomically
-                    // (pending → cache), so no request can miss both.
-                    let waiters = {
+                    // (pending → cache), so no request can miss both. The
+                    // entry's encoding is made once: this answer and every
+                    // waiter's share its bytes.
+                    let (result, waiters) = {
                         let mut pending = shared.pending.lock().expect("pending lock poisoned");
-                        shared
+                        let result = shared
                             .cache
                             .lock()
                             .expect("cache lock poisoned")
-                            .insert(canon.clone(), result.clone());
-                        pending.remove(&canon).unwrap_or_default()
+                            .insert(canon.clone(), result);
+                        (result, pending.remove(&canon).unwrap_or_default())
                     };
                     let micros = elapsed_micros(start);
                     shared.metrics.record(endpoint, micros, false);
                     shared.admission.observe(micros);
-                    let mut response = Response::new(id, false, micros, result.clone());
-                    response.queue_wait_ms = queue_wait_micros as f64 / 1_000.0;
-                    response.compute_ms = compute_micros as f64 / 1_000.0;
-                    write_response(&shared, &out, version, response);
+                    let mut envelope = Envelope::new(id, false, micros);
+                    envelope.queue_wait_ms = queue_wait_micros as f64 / 1_000.0;
+                    envelope.compute_ms = compute_micros as f64 / 1_000.0;
+                    send_line(&shared, &out, version, envelope, result.json());
                     for w in waiters {
                         let micros = elapsed_micros(w.start);
                         shared.metrics.record(endpoint, micros, true);
-                        write_response(
+                        send_line(
                             &shared,
                             &w.out,
                             w.version,
-                            Response::new(w.id, true, micros, result.clone()),
+                            Envelope::new(w.id, true, micros),
+                            result.json(),
                         );
                     }
                     shared.note_computed();
@@ -970,7 +878,7 @@ fn dispatch_compute(
                         .remove(&canon)
                         .unwrap_or_default();
                     shared.metrics.record_error(endpoint);
-                    write_response(
+                    respond(
                         &shared,
                         &out,
                         version,
@@ -978,7 +886,7 @@ fn dispatch_compute(
                     );
                     for w in waiters {
                         shared.metrics.record_error(endpoint);
-                        write_response(
+                        respond(
                             &shared,
                             &w.out,
                             w.version,
@@ -1023,7 +931,7 @@ fn dispatch_compute(
             SubmitError::Closed => 0,
         };
         record(endpoint);
-        write_response(
+        respond(
             shared,
             out,
             version,
@@ -1031,7 +939,7 @@ fn dispatch_compute(
         );
         for w in waiters {
             record(endpoint);
-            write_response(
+            respond(
                 shared,
                 &w.out,
                 w.version,
@@ -1065,7 +973,7 @@ fn dispatch_deadline(
     kind: RequestKind,
     options: RequestOptions,
     start: Instant,
-    out: &Arc<Mutex<TcpStream>>,
+    out: &Arc<Outbox>,
 ) {
     let endpoint = kind.endpoint();
     let deadline_ms = options.deadline_ms.unwrap_or(0);
@@ -1119,7 +1027,7 @@ fn dispatch_deadline(
             };
             response.queue_wait_ms = queue_wait_micros as f64 / 1_000.0;
             response.compute_ms = compute_micros as f64 / 1_000.0;
-            write_response(&shared, &out, version, response);
+            respond(&shared, &out, version, response);
         }
     };
     let submitted = shared
@@ -1148,7 +1056,7 @@ fn dispatch_deadline(
             SubmitError::Full => shared.metrics.record_overload(endpoint),
             SubmitError::Closed => shared.metrics.record_error(endpoint),
         }
-        write_response(
+        respond(
             shared,
             out,
             version,
@@ -1157,7 +1065,9 @@ fn dispatch_deadline(
     }
 }
 
-/// What a budgeted compute job produced.
+/// What a budgeted compute job produced. One lives on a worker's stack
+/// per job and is moved once, so the payload is held inline.
+#[allow(clippy::large_enum_variant)]
 enum ComputeStatus {
     /// Ran to completion.
     Done(ResponseKind),
@@ -1305,42 +1215,30 @@ fn duration_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Stamps the server's generation and the schema version the request
-/// spoke, then serializes and writes one response line, applying any
-/// armed [`ServerFaults`] on its way out. Write failures are dropped:
-/// the client is gone, and the server has nothing useful to do about it.
-fn write_response(shared: &Shared, out: &Mutex<TcpStream>, version: u32, mut response: Response) {
-    response.schema_version = version;
-    response.generation = shared.generation;
-    let Ok(mut line) = serde_json::to_string(&response) else {
-        return;
-    };
-    line.push('\n');
-    let seq = shared.responses.fetch_add(1, Ordering::SeqCst) + 1;
-    let faults = shared.faults;
-    if let Some((every, delay)) = faults.delay_every {
-        if every > 0 && seq.is_multiple_of(every) {
-            std::thread::sleep(delay);
-        }
-    }
-    let mut stream = out.lock().expect("stream lock poisoned");
-    if let Some(every) = faults.sever_every {
-        if every > 0 && seq.is_multiple_of(every) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
-    }
-    if let Some(every) = faults.short_write_every {
-        if every > 0 && seq.is_multiple_of(every) {
-            let half = line.len() / 2;
-            let _ = stream.write_all(&line.as_bytes()[..half]);
-            let _ = stream.flush();
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
-    }
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.flush();
+/// Stamps the schema version the request spoke and this boot's
+/// generation on `envelope`, then queues the line on the connection
+/// ([`Outbox::send`] decides when it is written).
+fn send_line(
+    shared: &Shared,
+    out: &Outbox,
+    version: u32,
+    mut envelope: Envelope,
+    result_json: &str,
+) {
+    envelope.schema_version = version;
+    envelope.generation = shared.generation;
+    out.send(&envelope, result_json);
+}
+
+/// [`send_line`] for a response whose payload has not been encoded yet.
+fn respond(shared: &Shared, out: &Outbox, version: u32, response: Response) {
+    send_line(
+        shared,
+        out,
+        version,
+        response.envelope(),
+        &encode_result(&response.result),
+    );
 }
 
 #[cfg(test)]

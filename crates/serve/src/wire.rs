@@ -21,6 +21,7 @@ use ktudc_model::{AbortReason, Point};
 use ktudc_sim::wire::WireMsg;
 use ktudc_sim::{ExploreOutcome, ExploreSpec};
 use serde::{Deserialize, Serialize};
+use std::io::Write as _;
 
 /// Version of the wire encoding (envelope + all body types).
 ///
@@ -391,6 +392,154 @@ impl Deserialize for Response {
             },
             result: ResponseKind::from_value(required("result")?)?,
         })
+    }
+}
+
+/// Everything on a response line except the payload: the fields of
+/// [`Response`] minus `result`. The serving side writes a line from an
+/// envelope plus the payload's JSON ([`write_response_line`]), so a
+/// payload encoded once — a cache entry, a single-flight result — is
+/// copied onto the wire under as many envelopes as it has requesters.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Envelope {
+    /// See [`Response::schema_version`].
+    pub schema_version: u32,
+    /// See [`Response::id`].
+    pub id: u64,
+    /// See [`Response::cached`].
+    pub cached: bool,
+    /// See [`Response::micros`].
+    pub micros: u64,
+    /// See [`Response::queue_wait_ms`].
+    pub queue_wait_ms: f64,
+    /// See [`Response::compute_ms`].
+    pub compute_ms: f64,
+    /// See [`Response::generation`].
+    pub generation: u64,
+    /// See [`Response::shard`].
+    pub shard: Option<usize>,
+}
+
+impl Envelope {
+    /// A current-version envelope with the defaults of [`Response::new`].
+    #[must_use]
+    pub fn new(id: u64, cached: bool, micros: u64) -> Self {
+        Envelope {
+            schema_version: SCHEMA_VERSION,
+            id,
+            cached,
+            micros,
+            queue_wait_ms: 0.0,
+            compute_ms: 0.0,
+            generation: 0,
+            shard: None,
+        }
+    }
+}
+
+impl Response {
+    /// This response's envelope (every field but `result`).
+    #[must_use]
+    pub fn envelope(&self) -> Envelope {
+        Envelope {
+            schema_version: self.schema_version,
+            id: self.id,
+            cached: self.cached,
+            micros: self.micros,
+            queue_wait_ms: self.queue_wait_ms,
+            compute_ms: self.compute_ms,
+            generation: self.generation,
+            shard: self.shard,
+        }
+    }
+}
+
+/// Appends one `\n`-terminated response line to `out`: the envelope's
+/// fields written directly, then `result_json` — the payload exactly as
+/// `serde_json::to_string(&ResponseKind)` produced it — copied in. The
+/// bytes before the newline are identical to
+/// `serde_json::to_string(&Response)` of the same envelope and payload
+/// (pinned by a differential test over every payload variant), without
+/// building the `Value` tree that encoder goes through.
+///
+/// A non-finite timing is written as `0.0`; the stamps the server
+/// computes are integer microseconds over a thousand, and JSON has no
+/// spelling for the rest.
+pub fn write_response_line(out: &mut Vec<u8>, envelope: &Envelope, result_json: &str) {
+    // Writing into a `Vec<u8>` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"schema_version\":{},\"id\":{},\"cached\":{},\"micros\":{},\"queue_wait_ms\":",
+        envelope.schema_version, envelope.id, envelope.cached, envelope.micros
+    );
+    write_millis(out, envelope.queue_wait_ms);
+    out.extend_from_slice(b",\"compute_ms\":");
+    write_millis(out, envelope.compute_ms);
+    let _ = write!(out, ",\"generation\":{}", envelope.generation);
+    if let Some(shard) = envelope.shard {
+        let _ = write!(out, ",\"shard\":{shard}");
+    }
+    out.extend_from_slice(b",\"result\":");
+    out.extend_from_slice(result_json.as_bytes());
+    out.extend_from_slice(b"}\n");
+}
+
+/// A float the way `serde_json` prints it: shortest round-trip decimal,
+/// with `.0` appended when that has no fraction or exponent.
+fn write_millis(out: &mut Vec<u8>, millis: f64) {
+    if !millis.is_finite() {
+        out.extend_from_slice(b"0.0");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{millis}");
+    if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.extend_from_slice(b".0");
+    }
+}
+
+/// The payload JSON [`write_response_line`] takes. A payload the encoder
+/// refuses (a non-finite float) becomes a typed [`ErrorCode::Internal`]
+/// payload, so the requester gets an answer instead of silence.
+#[must_use]
+pub fn encode_result(result: &ResponseKind) -> String {
+    serde_json::to_string(result).unwrap_or_else(|e| {
+        serde_json::to_string(&ResponseKind::Error(WireError {
+            code: ErrorCode::Internal,
+            message: format!("result is unencodable: {e}"),
+            retry_after_ms: 0,
+        }))
+        .expect("an error payload has no floats")
+    })
+}
+
+/// A payload together with its wire encoding, made once and shared: the
+/// scenario cache holds one per entry, and a computed result is sent to
+/// its requester and every single-flight waiter from the same one.
+#[derive(Debug, PartialEq)]
+pub struct EncodedResult {
+    kind: ResponseKind,
+    json: String,
+}
+
+impl EncodedResult {
+    /// Encodes `kind` ([`encode_result`]).
+    #[must_use]
+    pub fn new(kind: ResponseKind) -> Self {
+        let json = encode_result(&kind);
+        EncodedResult { kind, json }
+    }
+
+    /// The payload.
+    #[must_use]
+    pub fn kind(&self) -> &ResponseKind {
+        &self.kind
+    }
+
+    /// The payload's JSON, as [`write_response_line`] takes it.
+    #[must_use]
+    pub fn json(&self) -> &str {
+        &self.json
     }
 }
 
@@ -950,6 +1099,143 @@ mod tests {
         assert_eq!(parsed.shard, None);
         assert_eq!(parsed.schema_version, 4);
         assert_eq!(parsed.id, 9);
+    }
+
+    /// One payload per [`ResponseKind`] variant, errors with and without
+    /// a retry hint.
+    fn every_payload() -> Vec<ResponseKind> {
+        let explore = ExploreOutcome {
+            runs: 12,
+            complete: true,
+            events: 340,
+            digest: u64::MAX,
+        };
+        let cell = CellOutcome {
+            satisfied: 3,
+            violated_permanent: 1,
+            unsatisfied_pending: 0,
+            mean_messages: 9.5,
+        };
+        let health = HealthReport {
+            generation: 3,
+            durable: true,
+            recovered_cache_entries: 17,
+            corrupt_snapshots_skipped: 0,
+            store_corrupt_candidates: 1,
+            snapshots_written: 2,
+            cache_entries: 19,
+            queue_depth: 5,
+            in_flight: 2,
+            stuck_workers: 0,
+            steals: 6,
+            deepest_queue: 4,
+            uptime_micros: 1_000,
+        };
+        let metrics = crate::metrics::Metrics::new();
+        metrics.record(Endpoint::Cell, 120, true);
+        let classify = ktudc_fd::classify_detector(
+            &ClassifySpec::new(
+                ktudc_fd::DetectorKind::Heartbeat,
+                ktudc_fd::FaultRegime::Clean,
+            )
+            .trials(1)
+            .horizon(60),
+        );
+        vec![
+            ResponseKind::Cell(cell),
+            ResponseKind::Check(CheckOutcome {
+                valid: false,
+                counterexample: Some(Point::new(4, 2)),
+                runs: 17,
+                complete: true,
+                digest: 0xDEAD_BEEF,
+            }),
+            ResponseKind::Explore(explore),
+            ResponseKind::Classify(classify),
+            ResponseKind::Stats(metrics.report(Default::default(), 1, 256)),
+            ResponseKind::Health(health.clone()),
+            ResponseKind::ClusterHealth(ClusterHealthReport::aggregate(vec![
+                ShardHealth::new(0, "127.0.0.1:7001".to_string(), true, 3, Some(health)),
+                ShardHealth::new(1, "127.0.0.1:7002".to_string(), false, 2, None),
+            ])),
+            ResponseKind::Pong,
+            ResponseKind::Shutdown,
+            ResponseKind::Aborted(AbortedOutcome {
+                reason: AbortReason::Deadline,
+                partial: PartialOutcome::Cell(PartialCell {
+                    outcome: cell,
+                    trials_completed: 3,
+                }),
+            }),
+            ResponseKind::Aborted(AbortedOutcome {
+                reason: AbortReason::StepLimit,
+                partial: PartialOutcome::Explore(explore),
+            }),
+            ResponseKind::Error(WireError {
+                code: ErrorCode::BadRequest,
+                message: "a \"quoted\" message\nwith a newline and a caf\u{e9}".to_string(),
+                retry_after_ms: 0,
+            }),
+            ResponseKind::Error(WireError {
+                code: ErrorCode::Overloaded,
+                message: "queue full".to_string(),
+                retry_after_ms: 25,
+            }),
+        ]
+    }
+
+    #[test]
+    fn response_lines_are_byte_identical_to_the_serde_encoding() {
+        // What the server writes (envelope by hand + payload JSON copied
+        // in) against what clients have always parsed (`Serialize for
+        // Response`): every payload variant, stamped and unstamped, every
+        // accepted version, and timings with and without a fraction.
+        let timings = [(0.0, 0.0), (0.125, 3.0), (1e-7, 123_456_789.25)];
+        for result in every_payload() {
+            let encoded = EncodedResult::new(result.clone());
+            assert_eq!(encoded.kind(), &result);
+            for schema_version in MIN_SCHEMA_VERSION..=SCHEMA_VERSION {
+                for shard in [None, Some(0), Some(17)] {
+                    for (queue_wait_ms, compute_ms) in timings {
+                        let response = Response {
+                            schema_version,
+                            id: u64::MAX - 1,
+                            cached: shard.is_some(),
+                            micros: 1_234_567,
+                            queue_wait_ms,
+                            compute_ms,
+                            generation: 42,
+                            shard,
+                            result: result.clone(),
+                        };
+                        let mut line = Vec::new();
+                        write_response_line(&mut line, &response.envelope(), encoded.json());
+                        let mut want = serde_json::to_string(&response).unwrap();
+                        want.push('\n');
+                        assert_eq!(String::from_utf8(line).unwrap(), want);
+                    }
+                }
+            }
+        }
+        // `Envelope::new` and `Response::new` agree on the defaults.
+        let response = Response::new(5, true, 9, ResponseKind::Pong);
+        assert_eq!(response.envelope(), Envelope::new(5, true, 9));
+    }
+
+    #[test]
+    fn an_unencodable_result_becomes_a_typed_internal_error() {
+        let nan = ResponseKind::Cell(CellOutcome {
+            satisfied: 0,
+            violated_permanent: 0,
+            unsatisfied_pending: 0,
+            mean_messages: f64::NAN,
+        });
+        assert!(serde_json::to_string(&nan).is_err());
+        let payload: ResponseKind = serde_json::from_str(&encode_result(&nan)).unwrap();
+        let ResponseKind::Error(e) = payload else {
+            panic!("expected an error payload, got {payload:?}");
+        };
+        assert_eq!(e.code, ErrorCode::Internal);
     }
 
     #[test]
