@@ -12,6 +12,7 @@
 use crate::protocols::generalized::GeneralizedUdc;
 use crate::protocols::reliable::ReliableUdc;
 use crate::protocols::strong_fd::StrongFdUdc;
+use crate::protocols::CoordMsg;
 use crate::spec::{check_udc, Verdict};
 use ktudc_fd::{
     CyclingSubsetOracle, DetectorKind, ImpermanentStrongOracle, PerfectOracle, StrongOracle,
@@ -20,7 +21,8 @@ use ktudc_fd::{
 use ktudc_model::budget::{AbortReason, Budget};
 use ktudc_model::Time;
 use ktudc_sim::{
-    run_detected, run_protocol, ChannelKind, CrashPlan, FdOracle, NullOracle, SimConfig, Workload,
+    run_detected, run_protocol, ChannelKind, CrashPlan, FdOracle, NullOracle, SimConfig,
+    SimOutcome, Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -300,7 +302,18 @@ struct TrialResult {
     verdict: TrialVerdict,
 }
 
-fn run_trial(spec: &CellSpec, seed: u64) -> TrialResult {
+fn trial_workload(spec: &CellSpec) -> Workload {
+    Workload::periodic(spec.n, 9, spec.horizon / 6)
+}
+
+/// The simulated run behind trial `seed` of the cell — what [`run_cell`]
+/// generates and then judges, for callers that need the run itself.
+///
+/// # Panics
+///
+/// Panics on inconsistent specs, as [`run_cell`] does.
+#[must_use]
+pub fn simulate_trial(spec: &CellSpec, seed: u64) -> SimOutcome<CoordMsg> {
     let channel = match spec.drop_prob {
         None => ChannelKind::reliable(),
         Some(p) => ChannelKind::fair_lossy(p),
@@ -313,8 +326,8 @@ fn run_trial(spec: &CellSpec, seed: u64) -> TrialResult {
         })
         .horizon(spec.horizon)
         .seed(seed);
-    let workload = Workload::periodic(spec.n, 9, spec.horizon / 6);
-    let out = if let Some(kind) = spec.fd.empirical_kind() {
+    let workload = trial_workload(spec);
+    if let Some(kind) = spec.fd.empirical_kind() {
         // Derived-detector path: no oracle. The detector runs in its own
         // message plane over the same channel regime, and its suspicion
         // reports land in the protocol's event stream exactly where the
@@ -350,8 +363,12 @@ fn run_trial(spec: &CellSpec, seed: u64) -> TrialResult {
                 &workload,
             ),
         }
-    };
-    let verdict = match check_udc(&out.run, &workload.actions()) {
+    }
+}
+
+fn run_trial(spec: &CellSpec, seed: u64) -> TrialResult {
+    let out = simulate_trial(spec, seed);
+    let verdict = match check_udc(&out.run, &trial_workload(spec).actions()) {
         Verdict::Satisfied => TrialVerdict::Satisfied,
         Verdict::Violated(_) if out.quiescent => TrialVerdict::ViolatedPermanent,
         Verdict::Violated(_) => TrialVerdict::UnsatisfiedPending,

@@ -39,8 +39,11 @@ pub struct GeneralizedUdc {
     t: usize,
     retransmit_every: Time,
     next_retransmit: Time,
-    /// Every generalized report `(S, k)` seen so far.
-    reports: Vec<(ProcSet, usize)>,
+    /// The distinct *useful* reports seen so far, each kept as the acks it
+    /// demands: `(Proc − S) − {me}`. The guard is an existential over
+    /// reports, so repeats and useless reports (condition (d) fails, or
+    /// `k > |S|`) can never change it and are dropped on arrival.
+    needs: Vec<ProcSet>,
     actions: BTreeMap<ActionId, ActionState>,
     out: Outbox<CoordMsg>,
 }
@@ -67,7 +70,7 @@ impl GeneralizedUdc {
             t,
             retransmit_every: period,
             next_retransmit: 0,
-            reports: Vec::new(),
+            needs: Vec::new(),
             actions: BTreeMap::new(),
             out: Outbox::new(),
         }
@@ -77,19 +80,26 @@ impl GeneralizedUdc {
         self.actions.entry(action).or_default().live = true;
     }
 
-    /// Condition (b)–(d) of the performance guard: some received report
-    /// `(S, k)` is useful (`n − |S| > min(t, n−1) − k`) and everyone in
-    /// `Proc − S` has acked.
-    fn can_perform(&self, state: &ActionState) -> bool {
+    /// Condition (b) and (d) of the performance guard, decided once per
+    /// report: `(S, k)` with `k ≤ |S|` is useful iff
+    /// `n − |S| > min(t, n−1) − k`, and then unlocks an action once
+    /// everyone in `Proc − S` other than this process has acked it.
+    fn record_report(&mut self, set: ProcSet, k: usize) {
         let n = self.n;
-        self.reports.iter().any(|&(set, k)| {
-            k <= set.len()
-                && (n - set.len()) as isize > self.t.min(n - 1) as isize - k as isize
-                && set
-                    .complement(n)
-                    .iter()
-                    .all(|q| q == self.me || state.acked.contains(q))
-        })
+        let useful =
+            k <= set.len() && (n - set.len()) as isize > self.t.min(n - 1) as isize - k as isize;
+        if useful {
+            let need = set.complement(n).difference(ProcSet::singleton(self.me));
+            if !self.needs.contains(&need) {
+                self.needs.push(need);
+            }
+        }
+    }
+
+    /// Condition (b)–(d) of the performance guard: some received report is
+    /// useful and everyone it leaves unsuspected has acked.
+    fn can_perform(&self, state: &ActionState) -> bool {
+        self.needs.iter().any(|need| need.is_subset_of(state.acked))
     }
 }
 
@@ -116,7 +126,7 @@ impl Protocol<CoordMsg> for GeneralizedUdc {
                 self.actions.entry(*action).or_default().acked.insert(*from);
             }
             Event::Suspect(SuspectReport::Generalized { set, min_faulty }) => {
-                self.reports.push((*set, *min_faulty));
+                self.record_report(*set, *min_faulty);
             }
             Event::Do { action } => {
                 self.actions.entry(*action).or_default().done = true;
@@ -139,21 +149,14 @@ impl Protocol<CoordMsg> for GeneralizedUdc {
         }
         if time >= self.next_retransmit {
             self.next_retransmit = time + self.retransmit_every;
-            let me = self.me;
-            let n = self.n;
-            let planned: Vec<(ProcessId, ActionId)> = self
-                .actions
-                .iter()
-                .filter(|(_, s)| s.live)
-                .flat_map(|(&a, s)| {
-                    let acked = s.acked;
-                    ProcessId::all(n)
-                        .filter(move |&q| q != me && !acked.contains(q))
-                        .map(move |q| (q, a))
-                })
-                .collect();
-            for (q, a) in planned {
-                self.out.send(q, CoordMsg::Alpha(a));
+            for (&action, state) in &self.actions {
+                if state.live {
+                    for q in ProcessId::all(self.n) {
+                        if q != self.me && !state.acked.contains(q) {
+                            self.out.send(q, CoordMsg::Alpha(action));
+                        }
+                    }
+                }
             }
             return self.out.pop();
         }
@@ -275,39 +278,138 @@ mod tests {
         assert!(!did_any);
     }
 
+    fn pset(members: &[usize]) -> ProcSet {
+        members.iter().map(|&i| ProcessId::new(i)).collect()
+    }
+
+    fn report(proto: &mut GeneralizedUdc, set: ProcSet, min_faulty: usize) {
+        proto.observe(
+            1,
+            &Event::Suspect(SuspectReport::Generalized { set, min_faulty }),
+        );
+    }
+
+    fn ack(proto: &mut GeneralizedUdc, from: usize, action: ActionId) {
+        proto.observe(
+            1,
+            &Event::Recv {
+                from: ProcessId::new(from),
+                msg: CoordMsg::Ack(action),
+            },
+        );
+    }
+
+    fn ready(proto: &GeneralizedUdc, action: ActionId) -> bool {
+        proto.can_perform(&proto.actions[&action])
+    }
+
+    /// The guard exactly as the paper words it, over every report `(S, k)`
+    /// ever received: the reference the stored ack-masks are checked
+    /// against.
+    fn paper_guard(
+        n: usize,
+        t: usize,
+        me: ProcessId,
+        reports: &[(ProcSet, usize)],
+        acked: ProcSet,
+    ) -> bool {
+        reports.iter().any(|&(set, k)| {
+            k <= set.len()
+                && (n - set.len()) as isize > t.min(n - 1) as isize - k as isize
+                && set
+                    .complement(n)
+                    .iter()
+                    .all(|q| q == me || acked.contains(q))
+        })
+    }
+
     #[test]
     fn guard_arithmetic_matches_the_paper() {
+        let alpha = ActionId::new(ProcessId::new(0), 0);
         let mut proto = GeneralizedUdc::new(3);
         proto.start(ProcessId::new(0), 5);
-        let mut state = ActionState {
-            live: true,
-            done: false,
-            acked: ProcSet::new(),
-        };
+        proto.observe(1, &Event::Init { action: alpha });
         // Report ({p3, p4}, 1): useful iff 5 − 2 > min(3,4) − 1 = 2 ✓,
         // needs acks from {p1, p2} (p0 is self).
-        proto.reports.push((
-            [ProcessId::new(3), ProcessId::new(4)].into_iter().collect(),
-            1,
-        ));
-        assert!(!proto.can_perform(&state));
-        state.acked.insert(ProcessId::new(1));
-        assert!(!proto.can_perform(&state));
-        state.acked.insert(ProcessId::new(2));
-        assert!(proto.can_perform(&state));
+        report(&mut proto, pset(&[3, 4]), 1);
+        assert!(!ready(&proto, alpha));
+        ack(&mut proto, 1, alpha);
+        assert!(!ready(&proto, alpha));
+        ack(&mut proto, 2, alpha);
+        assert!(ready(&proto, alpha));
         // A useless report (k too small for |S|) does not unlock: ({p1..p4}, 1):
         // 5 − 4 = 1 > 3 − 1 = 2 is false.
         let mut proto2 = GeneralizedUdc::new(3);
         proto2.start(ProcessId::new(0), 5);
-        proto2
-            .reports
-            .push(((1..5).map(ProcessId::new).collect(), 1));
-        let full_acks = ActionState {
-            live: true,
-            done: false,
-            acked: (1..5).map(ProcessId::new).collect(),
-        };
-        assert!(!proto2.can_perform(&full_acks));
+        proto2.observe(1, &Event::Init { action: alpha });
+        report(&mut proto2, pset(&[1, 2, 3, 4]), 1);
+        for q in 1..5 {
+            ack(&mut proto2, q, alpha);
+        }
+        assert!(!ready(&proto2, alpha));
+        assert!(proto2.needs.is_empty(), "a useless report is not kept");
+    }
+
+    #[test]
+    fn a_repeated_report_is_stored_once() {
+        let alpha = ActionId::new(ProcessId::new(0), 0);
+        let mut proto = GeneralizedUdc::new(3);
+        proto.start(ProcessId::new(0), 5);
+        proto.observe(1, &Event::Init { action: alpha });
+        for _ in 0..100 {
+            report(&mut proto, pset(&[3, 4]), 1);
+        }
+        assert_eq!(proto.needs, vec![pset(&[1, 2])]);
+        // A different (S, k) demanding the same acks adds nothing either:
+        // ({p0, p3, p4}, 2) leaves {p1, p2} unsuspected too.
+        report(&mut proto, pset(&[0, 3, 4]), 2);
+        assert_eq!(proto.needs.len(), 1);
+        ack(&mut proto, 1, alpha);
+        ack(&mut proto, 2, alpha);
+        assert!(ready(&proto, alpha));
+    }
+
+    proptest::proptest! {
+        /// Over arbitrary interleavings of initiations, acks and reports —
+        /// useful ones, useless ones, repeats and `k > |S|` — the stored
+        /// ack-masks decide every action exactly as the paper's guard does
+        /// over the full report multiset.
+        #[test]
+        fn stored_masks_decide_as_the_paper_guard_does(
+            n in 2usize..7,
+            t in 0usize..7,
+            me in 0usize..7,
+            steps in proptest::collection::vec((0u8..4, 0u64..128, 0usize..8, 0usize..3), 0..60),
+        ) {
+            let me = ProcessId::new(me % n);
+            let mut proto = GeneralizedUdc::new(t);
+            proto.start(me, n);
+            let mut reports: Vec<(ProcSet, usize)> = Vec::new();
+            for (kind, bits, k, seq) in steps {
+                let action = ActionId::new(ProcessId::new(seq % n), seq as u32);
+                match kind {
+                    0 if action.initiator() == me => {
+                        proto.observe(1, &Event::Init { action });
+                    }
+                    0 | 1 => ack(&mut proto, (bits as usize) % n, action),
+                    _ => {
+                        let set: ProcSet = ProcessId::all(n)
+                            .filter(|q| bits >> q.index() & 1 == 1)
+                            .collect();
+                        report(&mut proto, set, k);
+                        reports.push((set, k));
+                    }
+                }
+                for (action, state) in &proto.actions {
+                    proptest::prop_assert_eq!(
+                        proto.can_perform(state),
+                        paper_guard(n, t, me, &reports, state.acked),
+                        "action {} after reports {:?}", action, reports
+                    );
+                }
+                proptest::prop_assert!(proto.needs.len() <= reports.len());
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! validities over exhaustively explored systems.
 
 use ktudc_epistemic::Formula;
-use ktudc_model::{ActionId, ProcessId, Run, Time};
+use ktudc_model::{ActionId, Event, ProcSet, ProcessId, Run, Time};
 use std::fmt;
 
 /// A specification violation with its witnessing configuration.
@@ -122,50 +122,63 @@ pub fn check_nudc<M>(run: &Run<M>, actions: &[ActionId]) -> Verdict {
 }
 
 fn check<M>(run: &Run<M>, actions: &[ActionId], uniform: bool) -> Verdict {
-    let horizon = run.horizon();
     let n = run.n();
-    for &action in actions {
-        let initiator = action.initiator();
-        let initiated = run.view_at(initiator, horizon).initiated(action);
-        // DC3 first (safety): any do without init.
-        for q in ProcessId::all(n) {
-            if let Some((t, _)) = run.timed_history(q).find(|(_, e)| {
-                e.action() == Some(action) && matches!(e, ktudc_model::Event::Do { .. })
-            }) {
-                if !initiated {
-                    return Verdict::Violated(SpecViolation::Dc3 {
-                        action,
-                        performer: q,
-                        time: t,
-                    });
+    // One scan per history collects everything the conditions ask about:
+    // who crashed, which listed actions their initiator initiated, and
+    // when each process first performed each of them.
+    let mut crashed = ProcSet::new();
+    let mut initiated = vec![false; actions.len()];
+    let mut first_do: Vec<Option<Time>> = vec![None; actions.len() * n];
+    let listed = |action: &ActionId| actions.iter().position(|a| a == action);
+    for q in ProcessId::all(n) {
+        for (t, event) in run.timed_history(q) {
+            match event {
+                Event::Crash => {
+                    crashed.insert(q);
                 }
+                Event::Init { action } if action.initiator() == q => {
+                    if let Some(a) = listed(action) {
+                        initiated[a] = true;
+                    }
+                }
+                Event::Do { action } => {
+                    if let Some(a) = listed(action) {
+                        first_do[a * n + q.index()].get_or_insert(t);
+                    }
+                }
+                _ => {}
             }
         }
-        // DC1.
-        if initiated {
-            let view = run.view_at(initiator, horizon);
-            if !view.did(action) && !view.crashed() {
+    }
+    for (a, &action) in actions.iter().enumerate() {
+        let did = &first_do[a * n..(a + 1) * n];
+        let settled = |q: ProcessId| did[q.index()].is_some() || crashed.contains(q);
+        if initiated[a] {
+            // DC1.
+            if !settled(action.initiator()) {
                 return Verdict::Violated(SpecViolation::Dc1 { action });
             }
+        } else if let Some((performer, time)) =
+            ProcessId::all(n).find_map(|q| did[q.index()].map(|t| (q, t)))
+        {
+            // DC3 (safety): a do without an init.
+            return Verdict::Violated(SpecViolation::Dc3 {
+                action,
+                performer,
+                time,
+            });
         }
-        // DC2 / DC2′.
-        let performers: Vec<ProcessId> = ProcessId::all(n)
-            .filter(|&q| run.view_at(q, horizon).did(action))
-            .collect();
-        for &q1 in &performers {
-            if !uniform && run.crash_time(q1).is_some() {
-                // DC2′ excuses coordination when the performer crashed.
-                continue;
-            }
-            for q2 in ProcessId::all(n) {
-                let v2 = run.view_at(q2, horizon);
-                if !v2.did(action) && !v2.crashed() {
-                    return Verdict::Violated(SpecViolation::Dc2 {
-                        action,
-                        performer: q1,
-                        missing: q2,
-                    });
-                }
+        // DC2 / DC2′: any performer obliges everyone — except that DC2′
+        // excuses coordination when the performer crashed.
+        let performer = ProcessId::all(n)
+            .find(|&q| did[q.index()].is_some() && (uniform || run.crash_time(q).is_none()));
+        if let Some(performer) = performer {
+            if let Some(missing) = ProcessId::all(n).find(|&q| !settled(q)) {
+                return Verdict::Violated(SpecViolation::Dc2 {
+                    action,
+                    performer,
+                    missing,
+                });
             }
         }
     }

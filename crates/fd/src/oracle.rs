@@ -366,13 +366,39 @@ impl FdOracle for EventuallyStrongOracle {
 pub struct TUsefulOracle {
     /// The context's failure bound `t`.
     pub t: usize,
+    /// The padded set `S` last computed, with the `(n, F(r))` it was
+    /// computed for: `S` depends on nothing else, so within one run it is
+    /// built once rather than once per poll.
+    padded: Option<(usize, ProcSet, ProcSet)>,
 }
 
 impl TUsefulOracle {
     /// Creates a t-useful oracle for a context with at most `t` failures.
     #[must_use]
     pub fn new(t: usize) -> Self {
-        TUsefulOracle { t }
+        TUsefulOracle { t, padded: None }
+    }
+
+    /// `F(r)` padded with the lowest-indexed correct processes up to the
+    /// largest size that keeps the report t-useful.
+    fn padded_set(&mut self, n: usize, faulty: ProcSet) -> ProcSet {
+        if let Some((for_n, for_faulty, set)) = self.padded {
+            if (for_n, for_faulty) == (n, faulty) {
+                return set;
+            }
+        }
+        let max_pad = n.saturating_sub(self.t.min(n - 1)) - 1;
+        let mut set = faulty;
+        for q in ProcessId::all(n) {
+            if set.len() >= faulty.len() + max_pad {
+                break;
+            }
+            if !faulty.contains(q) {
+                set.insert(q);
+            }
+        }
+        self.padded = Some((n, faulty, set));
+        set
     }
 }
 
@@ -384,18 +410,7 @@ impl FdOracle for TUsefulOracle {
         truth: &FaultTruth,
         _rng: &mut StdRng,
     ) -> Option<SuspectReport> {
-        let n = truth.n();
-        let faulty = truth.faulty();
-        let max_pad = n.saturating_sub(self.t.min(n - 1)) - 1;
-        let mut set = faulty;
-        for q in ProcessId::all(n) {
-            if set.len() >= faulty.len() + max_pad {
-                break;
-            }
-            if !faulty.contains(q) {
-                set.insert(q);
-            }
-        }
+        let set = self.padded_set(truth.n(), truth.faulty());
         let min_faulty = truth.crashed_by(time).intersection(set).len();
         Some(SuspectReport::Generalized { set, min_faulty })
     }

@@ -421,8 +421,27 @@ pub struct RunBuilder<M> {
     logs: Vec<ProcessLog<M>>,
     crashed: ProcSet,
     inits: HashMap<ActionId, Time>,
-    /// (sender, receiver, msg) → (send ticks, receives consumed).
-    channel: HashMap<(ProcessId, ProcessId, M), (Vec<Time>, usize)>,
+    /// R3 accounting, one ledger per ordered pair: `channels[from · n + to]`
+    /// holds a [`Traffic`] per distinct payload sent on that channel.
+    channels: Vec<Vec<Traffic<M>>>,
+}
+
+/// What R3 needs to know about one `(sender, receiver, payload)`.
+#[derive(Clone, Debug)]
+struct Traffic<M> {
+    msg: M,
+    /// Ticks of the sends appended so far — ascending, since they all
+    /// come from one sender's history (R2).
+    send_ticks: Vec<Time>,
+    /// Receives accepted so far.
+    received: usize,
+}
+
+/// `msg`'s entry in one channel's ledger. A linear scan: a channel carries
+/// a handful of distinct payloads (a protocol's message kinds × its live
+/// actions), too few to repay hashing one on every send and receive.
+fn traffic_of<'a, M: Eq>(ledger: &'a mut [Traffic<M>], msg: &M) -> Option<&'a mut Traffic<M>> {
+    ledger.iter_mut().find(|t| t.msg == *msg)
 }
 
 impl<M: Eq + Hash + Clone> RunBuilder<M> {
@@ -441,7 +460,7 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
             logs: (0..n).map(|_| ProcessLog::default()).collect(),
             crashed: ProcSet::new(),
             inits: HashMap::new(),
-            channel: HashMap::new(),
+            channels: (0..n * n).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -478,88 +497,7 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
     /// * [`ModelError::ReceiveWithoutSend`] — unmatched receive (R3);
     /// * [`ModelError::ForeignInit`] / [`ModelError::DuplicateInit`] — §2.4.
     pub fn append(&mut self, p: ProcessId, time: Time, event: Event<M>) -> Result<(), ModelError> {
-        if p.index() >= self.n {
-            return Err(ModelError::UnknownProcess {
-                process: p,
-                n: self.n,
-            });
-        }
-        let log = &self.logs[p.index()];
-        let last = log.times.last().copied().unwrap_or(0);
-        if time <= last || time == 0 {
-            return Err(ModelError::NonMonotonicTime {
-                process: p,
-                last,
-                attempted: time,
-            });
-        }
-        if self.crashed.contains(p) {
-            return Err(ModelError::EventAfterCrash { process: p, time });
-        }
-        match &event {
-            Event::Recv { from, msg } => {
-                if from.index() >= self.n {
-                    return Err(ModelError::UnknownProcess {
-                        process: *from,
-                        n: self.n,
-                    });
-                }
-                let entry = self.channel.get(&(*from, p, msg.clone()));
-                let available = entry
-                    .map(|(ticks, _)| ticks.partition_point(|&st| st <= time))
-                    .unwrap_or(0);
-                let used = entry.map(|(_, u)| *u).unwrap_or(0);
-                if used >= available {
-                    return Err(ModelError::ReceiveWithoutSend {
-                        receiver: p,
-                        sender: *from,
-                        time,
-                    });
-                }
-            }
-            Event::Send { to, .. } if to.index() >= self.n => {
-                return Err(ModelError::UnknownProcess {
-                    process: *to,
-                    n: self.n,
-                });
-            }
-            Event::Init { action } => {
-                if action.initiator() != p {
-                    return Err(ModelError::ForeignInit { process: p });
-                }
-                if self.inits.contains_key(action) {
-                    return Err(ModelError::DuplicateInit { process: p, time });
-                }
-            }
-            _ => {}
-        }
-        // Commit.
-        match &event {
-            Event::Crash => {
-                self.crashed.insert(p);
-            }
-            Event::Init { action } => {
-                self.inits.insert(*action, time);
-            }
-            Event::Send { to, msg } => {
-                self.channel
-                    .entry((p, *to, msg.clone()))
-                    .or_insert_with(|| (Vec::new(), 0))
-                    .0
-                    .push(time);
-            }
-            Event::Recv { from, msg } => {
-                self.channel
-                    .entry((*from, p, msg.clone()))
-                    .or_insert_with(|| (Vec::new(), 0))
-                    .1 += 1;
-            }
-            _ => {}
-        }
-        let log = &mut self.logs[p.index()];
-        log.times.push(time);
-        log.events.push(event);
-        Ok(())
+        self.commit(p, time, event, true)
     }
 
     /// Appends `event` like [`RunBuilder::append`] but *without* the R3
@@ -587,14 +525,26 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
         time: Time,
         event: Event<M>,
     ) -> Result<(), ModelError> {
-        if p.index() >= self.n {
-            return Err(ModelError::UnknownProcess {
-                process: p,
-                n: self.n,
-            });
+        self.commit(p, time, event, false)
+    }
+
+    /// The one validate-then-commit body behind [`RunBuilder::append`] and
+    /// [`RunBuilder::force_append`]; `enforce_r3` is the only difference
+    /// between them. Every check precedes every mutation, so an `Err`
+    /// leaves the builder unchanged.
+    fn commit(
+        &mut self,
+        p: ProcessId,
+        time: Time,
+        event: Event<M>,
+        enforce_r3: bool,
+    ) -> Result<(), ModelError> {
+        let n = self.n;
+        let unknown = |process: ProcessId| ModelError::UnknownProcess { process, n };
+        if p.index() >= n {
+            return Err(unknown(p));
         }
-        let log = &self.logs[p.index()];
-        let last = log.times.last().copied().unwrap_or(0);
+        let last = self.last_time(p);
         if time <= last || time == 0 {
             return Err(ModelError::NonMonotonicTime {
                 process: p,
@@ -606,17 +556,8 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
             return Err(ModelError::EventAfterCrash { process: p, time });
         }
         match &event {
-            Event::Recv { from, .. } if from.index() >= self.n => {
-                return Err(ModelError::UnknownProcess {
-                    process: *from,
-                    n: self.n,
-                });
-            }
-            Event::Send { to, .. } if to.index() >= self.n => {
-                return Err(ModelError::UnknownProcess {
-                    process: *to,
-                    n: self.n,
-                });
+            Event::Crash => {
+                self.crashed.insert(p);
             }
             Event::Init { action } => {
                 if action.initiator() != p {
@@ -625,29 +566,49 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
                 if self.inits.contains_key(action) {
                     return Err(ModelError::DuplicateInit { process: p, time });
                 }
-            }
-            _ => {}
-        }
-        // Commit — identical to `append`.
-        match &event {
-            Event::Crash => {
-                self.crashed.insert(p);
-            }
-            Event::Init { action } => {
                 self.inits.insert(*action, time);
             }
             Event::Send { to, msg } => {
-                self.channel
-                    .entry((p, *to, msg.clone()))
-                    .or_insert_with(|| (Vec::new(), 0))
-                    .0
-                    .push(time);
+                if to.index() >= n {
+                    return Err(unknown(*to));
+                }
+                let ledger = &mut self.channels[p.index() * n + to.index()];
+                match traffic_of(ledger, msg) {
+                    Some(traffic) => traffic.send_ticks.push(time),
+                    None => ledger.push(Traffic {
+                        msg: msg.clone(),
+                        send_ticks: vec![time],
+                        received: 0,
+                    }),
+                }
             }
             Event::Recv { from, msg } => {
-                self.channel
-                    .entry((*from, p, msg.clone()))
-                    .or_insert_with(|| (Vec::new(), 0))
-                    .1 += 1;
+                if from.index() >= n {
+                    return Err(unknown(*from));
+                }
+                let ledger = &mut self.channels[from.index() * n + p.index()];
+                // R3: strictly more matching sends at a tick ≤ this one
+                // than receives already accepted.
+                let unmatched = ModelError::ReceiveWithoutSend {
+                    receiver: p,
+                    sender: *from,
+                    time,
+                };
+                match traffic_of(ledger, msg) {
+                    Some(traffic) => {
+                        let available = traffic.send_ticks.partition_point(|&st| st <= time);
+                        if enforce_r3 && traffic.received >= available {
+                            return Err(unmatched);
+                        }
+                        traffic.received += 1;
+                    }
+                    None if enforce_r3 => return Err(unmatched),
+                    None => ledger.push(Traffic {
+                        msg: msg.clone(),
+                        send_ticks: Vec::new(),
+                        received: 1,
+                    }),
+                }
             }
             _ => {}
         }
@@ -709,19 +670,18 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
                 self.inits.remove(action);
             }
             Event::Send { to, msg } => {
-                let entry = self
-                    .channel
-                    .get_mut(&(p, *to, msg.clone()))
-                    .expect("send was recorded at append time");
-                let popped = entry.0.pop();
+                let ledger = &mut self.channels[p.index() * self.n + to.index()];
+                let popped = traffic_of(ledger, msg)
+                    .expect("send was recorded at append time")
+                    .send_ticks
+                    .pop();
                 debug_assert_eq!(popped, Some(time), "sends must be unappended LIFO");
             }
             Event::Recv { from, msg } => {
-                let entry = self
-                    .channel
-                    .get_mut(&(*from, p, msg.clone()))
-                    .expect("receive was recorded at append time");
-                entry.1 -= 1;
+                let ledger = &mut self.channels[from.index() * self.n + p.index()];
+                traffic_of(ledger, msg)
+                    .expect("receive was recorded at append time")
+                    .received -= 1;
             }
             _ => {}
         }

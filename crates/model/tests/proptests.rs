@@ -157,6 +157,119 @@ proptest! {
     }
 }
 
+/// One step of a builder script: `verb` 0–5 appends, 6 force-appends, 7
+/// rewinds the most recent committed event.
+type BuilderOp = (u8, usize, u64, u8, usize, u16);
+
+fn op_event(p: ProcessId, kind: u8, q: ProcessId, msg: u16) -> Event<u16> {
+    match kind {
+        0 | 1 => Event::Send { to: q, msg },
+        2 | 3 => Event::Recv { from: q, msg },
+        4 => Event::Init {
+            action: ActionId::new(if msg == 0 { q } else { p }, u32::from(msg)),
+        },
+        5 => Event::Do {
+            action: ActionId::new(q, u32::from(msg)),
+        },
+        6 => Event::Crash,
+        _ => Event::Suspect(SuspectReport::Standard(ProcSet::singleton(q))),
+    }
+}
+
+proptest! {
+    /// `RunBuilder`'s incremental R3 ledger against the batch validator
+    /// `Run::check_conditions`, which recounts sends and receives its own
+    /// way: over arbitrary append / force-append / LIFO-unappend scripts,
+    /// every verdict of `append` is the validator's verdict on the run
+    /// that would result, a rewound builder is indistinguishable from one
+    /// that never saw the rewound events, and only a forced receive can
+    /// make the finished run ill-formed.
+    #[test]
+    fn builder_verdicts_agree_with_the_validator(
+        script in proptest::collection::vec(
+            (0u8..8, 0usize..3, 1u64..24, 0u8..8, 0usize..3, 0u16..3),
+            0..70,
+        ),
+    ) {
+        const HORIZON: u64 = 30;
+        let script: Vec<BuilderOp> = script;
+        let mut b = RunBuilder::<u16>::new(3);
+        // What is committed right now, oldest first.
+        let mut committed: Vec<(ProcessId, u64, Event<u16>, bool)> = Vec::new();
+        for (verb, pi, t, kind, qi, msg) in script {
+            let (p, q) = (ProcessId::new(pi), ProcessId::new(qi));
+            if verb == 7 {
+                if let Some((p, _, event, _)) = committed.pop() {
+                    prop_assert_eq!(b.unappend(p), Some(event));
+                }
+                continue;
+            }
+            let event = op_event(p, kind, q, msg);
+            let forced = verb == 6;
+            let clean = b.snapshot(HORIZON).check_conditions(0).is_ok();
+            // The run this step would produce, R3 aside.
+            let mut would_be = b.clone();
+            let verdict = match would_be.force_append(p, t, event.clone()) {
+                Err(e) => Err(e),
+                Ok(()) => would_be.finish(HORIZON).check_conditions(0),
+            };
+            let plain = b.clone().append(p, t, event.clone());
+            let got = if forced {
+                b.force_append(p, t, event.clone())
+            } else {
+                b.append(p, t, event.clone())
+            };
+            if forced {
+                // Forcing waives R3 and nothing else.
+                let waived = match plain {
+                    Err(ModelError::ReceiveWithoutSend { .. }) => Ok(()),
+                    other => other,
+                };
+                prop_assert_eq!(&got, &waived);
+            } else if clean {
+                prop_assert_eq!(&got, &verdict, "append of {:?} by {} at {}", event, p, t);
+            }
+            if got.is_ok() {
+                committed.push((p, t, event, forced));
+            }
+        }
+        // A builder that appended and rewound equals one that only ever
+        // saw what survived — in the run it yields and in what it accepts
+        // next.
+        let mut fresh = RunBuilder::<u16>::new(3);
+        for (p, t, event, forced) in &committed {
+            let replayed = if *forced {
+                fresh.force_append(*p, *t, event.clone())
+            } else {
+                fresh.append(*p, *t, event.clone())
+            };
+            prop_assert_eq!(replayed, Ok(()));
+        }
+        for from in ProcessId::all(3) {
+            for to in ProcessId::all(3) {
+                for msg in 0u16..3 {
+                    let probe = Event::Recv { from, msg };
+                    prop_assert_eq!(
+                        b.clone().append(to, HORIZON, probe.clone()),
+                        fresh.clone().append(to, HORIZON, probe)
+                    );
+                }
+            }
+        }
+        let run = b.finish(HORIZON);
+        prop_assert_eq!(&run, &fresh.finish(HORIZON));
+        match run.check_conditions(0) {
+            Ok(()) => {}
+            Err(ModelError::ReceiveWithoutSend { .. }) => {
+                prop_assert!(committed.iter().any(|(_, _, e, forced)| {
+                    *forced && matches!(e, Event::Recv { .. })
+                }));
+            }
+            Err(other) => prop_assert!(false, "builder let through {}", other),
+        }
+    }
+}
+
 /// Deterministic negative check kept outside proptest: the validator flags
 /// a hand-corrupted fairness situation.
 #[test]

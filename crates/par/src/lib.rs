@@ -17,22 +17,32 @@
 pub mod pool;
 
 pub use pool::{Pool, PoolStats, SubmitError};
+use std::sync::OnceLock;
 
 /// Worker count: `KTUDC_THREADS` env override if set, else the machine's
 /// available parallelism. Always at least 1.
+///
+/// Resolved on first use and fixed for the life of the process — the
+/// environment read and the cgroup probe behind `available_parallelism`
+/// cost microseconds, and every `par_map` asks. Set `KTUDC_THREADS`
+/// before the process starts, not from inside it.
 #[must_use]
 pub fn thread_count() -> usize {
     if !cfg!(feature = "threads") {
         return 1;
     }
-    if let Ok(s) = std::env::var("KTUDC_THREADS") {
-        if let Ok(n) = s.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static COUNT: OnceLock<usize> = OnceLock::new();
+    *COUNT.get_or_init(|| {
+        std::env::var("KTUDC_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .map(|n| n.max(1))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// Maps `f` over owned `items` in input order, splitting the work across

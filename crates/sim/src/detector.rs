@@ -36,14 +36,11 @@
 use crate::config::{SimConfig, Workload};
 use crate::faults::FaultStats;
 use crate::network::Network;
-use crate::oracle::FaultTruth;
-use crate::protocol::{ProtoAction, Protocol};
-use crate::runner::SimOutcome;
-use ktudc_model::{ActionId, Event, ProcessId, SuspectReport, Time};
-use ktudc_model::{Run, RunBuilder};
+use crate::protocol::Protocol;
+use crate::runner::{ProtocolPlane, SimOutcome};
+use ktudc_model::{ProcessId, Run, SuspectReport, Time};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use rand::SeedableRng;
 use std::hash::Hash;
 
 /// XOR-salt separating the detector plane's RNG stream (channel coins,
@@ -161,16 +158,8 @@ where
     G: Fn(ProcessId) -> D,
 {
     let n = config.n();
-    let mut rng = config.rng();
     let mut det_rng = StdRng::seed_from_u64(config.seed_value() ^ DETECTOR_STREAM_SALT);
-    let truth = FaultTruth::new(config.crash_plan().resolve(n, &mut rng));
-    let mut protocols: Vec<P> = ProcessId::all(n)
-        .map(|p| {
-            let mut proto = make(p);
-            proto.start(p, n);
-            proto
-        })
-        .collect();
+    let mut plane = ProtocolPlane::new(config, make, workload);
     let mut detectors: Vec<D> = ProcessId::all(n)
         .map(|p| {
             let mut det = make_detector(p);
@@ -178,16 +167,9 @@ where
             det
         })
         .collect();
-    let mut builder: RunBuilder<M> = RunBuilder::new(n);
-    let mut net: Network<M> = Network::new(n);
     let mut fd_net: Network<D::Msg> = Network::new(n);
-    let mut pending_inits: Vec<VecDeque<ActionId>> = vec![VecDeque::new(); n];
     let kind = config.channel_kind();
-    let fd_period = config.fd_period_ticks();
-    let horizon = config.horizon_ticks();
     let inject = !config.fault_plan().is_empty();
-    let duplication_possible = config.fault_plan().duplicates();
-    let mut faults = config.fault_plan().activate(config.seed_value());
     // The detector plane sees the same fault *windows* (they are functions
     // of time and link only) but draws its per-copy randomness from its
     // own armed engine, keyed off the salted seed.
@@ -195,14 +177,12 @@ where
         .fault_plan()
         .activate(config.seed_value() ^ DETECTOR_STREAM_SALT);
 
-    for t in 1..=horizon {
-        for action in workload.at_tick(t) {
-            pending_inits[action.initiator().index()].push_back(action);
-        }
+    for t in 1..=config.horizon_ticks() {
+        plane.begin_tick(t);
         // Detector plane: slot-free. Crash takes effect at the top of the
         // tick here — a process crashing at t sends no dying heartbeat.
         for p in ProcessId::all(n) {
-            if truth.crash_time(p).is_some_and(|ct| ct <= t) {
+            if plane.truth().crash_time(p).is_some_and(|ct| ct <= t) {
                 continue;
             }
             // Drain every arrival due by now, then let the detector speak.
@@ -217,114 +197,20 @@ where
                 }
             }
         }
-        // Protocol plane: identical discipline to `run_protocol`, except
-        // the FD slot asks the process's detector instead of an oracle.
+        // Protocol plane: the scheduler slot of `run_protocol`, with the
+        // process's own detector answering the FD poll.
         for p in ProcessId::all(n) {
-            if builder.crashed().contains(p) {
-                continue;
-            }
-            if truth.crash_time(p) == Some(t) {
-                builder
-                    .append(p, t, Event::Crash)
-                    .expect("crash append cannot violate R1-R4 on a live process");
-                net.drop_all_to(p);
+            let crashed_now = plane.slot(p, t, |_, _| Some(detectors[p.index()].report(t)));
+            if crashed_now {
                 fd_net.drop_all_to(p);
-                pending_inits[p.index()].clear();
-                continue;
-            }
-            if let Some(action) = pending_inits[p.index()].pop_front() {
-                assert_eq!(
-                    action.initiator(),
-                    p,
-                    "workload action owned by another process"
-                );
-                let event = Event::Init { action };
-                builder.append(p, t, event.clone()).expect("init append");
-                protocols[p.index()].observe(t, &event);
-                continue;
-            }
-            if (t + p.index() as Time).is_multiple_of(fd_period) {
-                let report = detectors[p.index()].report(t);
-                let event = Event::Suspect(report);
-                builder.append(p, t, event.clone()).expect("suspect append");
-                protocols[p.index()].observe(t, &event);
-                continue;
-            }
-            let deliverable = net.has_deliverable(p, t);
-            let prefer_delivery = deliverable && rng.gen_bool(config.deliver_bias_value());
-            if prefer_delivery {
-                if let Some((from, msg)) = net.deliver_one(p, t) {
-                    let event = Event::Recv { from, msg };
-                    crate::runner::append_recv(
-                        &mut builder,
-                        p,
-                        t,
-                        event.clone(),
-                        duplication_possible,
-                    );
-                    protocols[p.index()].observe(t, &event);
-                    continue;
-                }
-            }
-            match protocols[p.index()].next_action(t) {
-                Some(ProtoAction::Send { to, msg }) => {
-                    let event = Event::Send {
-                        to,
-                        msg: msg.clone(),
-                    };
-                    builder.append(p, t, event.clone()).expect("send append");
-                    protocols[p.index()].observe(t, &event);
-                    if inject {
-                        net.send_faulty(p, to, msg, t, kind, &mut rng, &mut faults);
-                    } else {
-                        net.send(p, to, msg, t, kind, &mut rng);
-                    }
-                }
-                Some(ProtoAction::Do(action)) => {
-                    let event = Event::Do { action };
-                    builder.append(p, t, event.clone()).expect("do append");
-                    protocols[p.index()].observe(t, &event);
-                }
-                None => {
-                    if deliverable {
-                        if let Some((from, msg)) = net.deliver_one(p, t) {
-                            let event = Event::Recv { from, msg };
-                            crate::runner::append_recv(
-                                &mut builder,
-                                p,
-                                t,
-                                event.clone(),
-                                duplication_possible,
-                            );
-                            protocols[p.index()].observe(t, &event);
-                        }
-                    }
-                }
             }
         }
     }
 
-    let crashed = builder.crashed();
     // Quiescence is a *protocol-plane* notion: heartbeat traffic never
     // stops, so the detector plane is deliberately excluded.
-    let quiescent = net.is_idle()
-        && pending_inits.iter().all(VecDeque::is_empty)
-        && workload
-            .schedule()
-            .iter()
-            .all(|&(t, a)| t <= horizon || crashed.contains(a.initiator()))
-        && ProcessId::all(n)
-            .filter(|&p| !crashed.contains(p))
-            .all(|p| protocols[p.index()].quiescent());
     DetectedOutcome {
-        sim: SimOutcome {
-            run: builder.finish(horizon),
-            truth,
-            quiescent,
-            messages_sent: net.sent_count(),
-            messages_dropped: net.dropped_count(),
-            faults: faults.into_stats(),
-        },
+        sim: plane.finish(),
         fd_messages_sent: fd_net.sent_count(),
         fd_messages_dropped: fd_net.dropped_count(),
         fd_faults: fd_faults.into_stats(),
@@ -359,7 +245,8 @@ mod tests {
     use super::*;
     use crate::config::{ChannelKind, CrashPlan};
     use crate::faults::FaultPlan;
-    use ktudc_model::ProcSet;
+    use crate::protocol::ProtoAction;
+    use ktudc_model::{Event, ProcSet};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)

@@ -704,6 +704,11 @@ where
     P: Protocol<M> + Clone + Send,
     F: Fn(ProcessId) -> P,
 {
+    // Frontier expansion polls nothing, so a budget that is already
+    // cancelled or expired is caught here, before any of it is paid for.
+    if budget.is_some_and(|b| b.check().is_err()) {
+        return (Vec::new(), false);
+    }
     if config.reduction.is_active() {
         return explore_runs_reduced(config, make, budget, stats);
     }
@@ -1778,15 +1783,22 @@ mod tests {
 
     #[test]
     fn cancelled_exploration_aborts_promptly() {
-        let cfg = ExploreConfig::new(2, 3);
-        let budget = Budget::unlimited();
-        budget.cancel_token().cancel();
-        match explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &budget) {
-            ExploreStatus::Aborted { reason, partial } => {
-                assert_eq!(reason, AbortReason::Cancelled);
-                assert!(partial.is_none(), "cancelled before any leaf");
+        // Plain and reduced walks alike, whatever the thread count: the
+        // frontier expansion ahead of the fan-out must not run first.
+        for cfg in [
+            ExploreConfig::new(2, 3),
+            ExploreConfig::new(2, 3).with_sleep_sets(),
+        ] {
+            let budget = Budget::unlimited();
+            budget.cancel_token().cancel();
+            match explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &budget) {
+                ExploreStatus::Aborted { reason, partial } => {
+                    assert_eq!(reason, AbortReason::Cancelled);
+                    assert!(partial.is_none(), "cancelled before any leaf");
+                    assert_eq!(budget.steps(), 1, "one poll, then out");
+                }
+                ExploreStatus::Done(_) => panic!("pre-cancelled budget must abort"),
             }
-            ExploreStatus::Done(_) => panic!("pre-cancelled budget must abort"),
         }
     }
 

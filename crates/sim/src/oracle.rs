@@ -28,13 +28,21 @@ use rand::rngs::StdRng;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultTruth {
     crash_times: Vec<Option<Time>>,
+    /// `F(r)`, fixed by `crash_times` at construction.
+    faulty: ProcSet,
 }
 
 impl FaultTruth {
     /// Builds the truth from resolved per-process crash ticks.
     #[must_use]
     pub fn new(crash_times: Vec<Option<Time>>) -> Self {
-        FaultTruth { crash_times }
+        let faulty = ProcessId::all(crash_times.len())
+            .filter(|&p| crash_times[p.index()].is_some())
+            .collect();
+        FaultTruth {
+            crash_times,
+            faulty,
+        }
     }
 
     /// Number of processes.
@@ -60,9 +68,7 @@ impl FaultTruth {
     /// `F(r)`: every process destined to crash in this run.
     #[must_use]
     pub fn faulty(&self) -> ProcSet {
-        ProcessId::all(self.n())
-            .filter(|&p| self.crash_times[p.index()].is_some())
-            .collect()
+        self.faulty
     }
 
     /// The correct processes of this run.

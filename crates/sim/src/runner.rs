@@ -6,13 +6,16 @@
 //! *delivery-or-protocol-action* (the last pair arbitrated by the seeded
 //! RNG). The result is a well-formed [`Run`] (R1–R4 by construction)
 //! together with the ground-truth fault schedule and quiescence information.
+//! That slot discipline is written once (`ProtocolPlane::slot`) and shared
+//! with the detector-fed runner of [`crate::detector`].
 
-use crate::config::{SimConfig, Workload};
-use crate::faults::FaultStats;
+use crate::config::{ChannelKind, SimConfig, Workload};
+use crate::faults::{ActiveFaults, FaultStats};
 use crate::network::Network;
 use crate::oracle::{FaultTruth, FdOracle};
 use crate::protocol::{ProtoAction, Protocol};
-use ktudc_model::{ActionId, Event, ModelError, ProcessId, Run, RunBuilder, Time};
+use ktudc_model::{ActionId, Event, ProcessId, Run, RunBuilder, SuspectReport, Time};
+use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -40,26 +43,215 @@ pub struct SimOutcome<M> {
     pub faults: FaultStats,
 }
 
-/// Appends a receive, tolerating the R3 rejection that an injected
-/// duplicate provokes: when the fault plan can duplicate, the offending
-/// receive is force-appended so the run records exactly what happened on
-/// the wire (and `Run::check_conditions` will flag it). Any other append
-/// failure is a runner bug.
-pub(crate) fn append_recv<M: Clone + Eq + Hash>(
-    builder: &mut RunBuilder<M>,
-    p: ProcessId,
-    t: Time,
-    event: Event<M>,
+/// The protocol plane of one simulated run: the state that
+/// [`run_protocol`] and [`run_detected`](crate::detector::run_detected)
+/// both drive, and the one scheduler slot ([`ProtocolPlane::slot`]) they
+/// drive it through. The two runners differ only in where a slot's
+/// failure-detector report comes from.
+pub(crate) struct ProtocolPlane<'a, M, P> {
+    workload: &'a Workload,
+    horizon: Time,
+    kind: ChannelKind,
+    fd_period: Time,
+    deliver_bias: f64,
+    /// Whether sends go through the armed fault engine. It draws from its
+    /// own salted RNG stream, so an empty plan leaves the scheduler RNG
+    /// sequence — and thus every previously pinned run — byte-identical.
+    inject: bool,
     duplication_possible: bool,
-) {
-    match builder.append(p, t, event.clone()) {
-        Ok(()) => {}
-        Err(ModelError::ReceiveWithoutSend { .. }) if duplication_possible => {
-            builder
-                .force_append(p, t, event)
-                .expect("force_append only relaxes R3");
+    faults: ActiveFaults,
+    rng: StdRng,
+    truth: FaultTruth,
+    protocols: Vec<P>,
+    builder: RunBuilder<M>,
+    net: Network<M>,
+    pending_inits: Vec<VecDeque<ActionId>>,
+}
+
+impl<'a, M, P> ProtocolPlane<'a, M, P>
+where
+    M: Clone + Eq + Hash,
+    P: Protocol<M>,
+{
+    /// Resolves the crash schedule and starts one `make(p)` protocol per
+    /// process.
+    pub(crate) fn new(
+        config: &SimConfig,
+        make: impl Fn(ProcessId) -> P,
+        workload: &'a Workload,
+    ) -> Self {
+        let n = config.n();
+        let mut rng = config.rng();
+        let truth = FaultTruth::new(config.crash_plan().resolve(n, &mut rng));
+        let protocols = ProcessId::all(n)
+            .map(|p| {
+                let mut proto = make(p);
+                proto.start(p, n);
+                proto
+            })
+            .collect();
+        ProtocolPlane {
+            workload,
+            horizon: config.horizon_ticks(),
+            kind: config.channel_kind(),
+            fd_period: config.fd_period_ticks(),
+            deliver_bias: config.deliver_bias_value(),
+            inject: !config.fault_plan().is_empty(),
+            duplication_possible: config.fault_plan().duplicates(),
+            faults: config.fault_plan().activate(config.seed_value()),
+            rng,
+            truth,
+            protocols,
+            builder: RunBuilder::new(n),
+            net: Network::new(n),
+            pending_inits: vec![VecDeque::new(); n],
         }
-        Err(e) => panic!("recv append: {e}"),
+    }
+
+    /// The resolved fault schedule.
+    pub(crate) fn truth(&self) -> &FaultTruth {
+        &self.truth
+    }
+
+    /// Enqueues the workload initiations scheduled for tick `t`; call once
+    /// per tick, before the tick's slots.
+    pub(crate) fn begin_tick(&mut self, t: Time) {
+        for action in self.workload.at_tick(t) {
+            self.pending_inits[action.initiator().index()].push_back(action);
+        }
+    }
+
+    /// Appends `event` to `p`'s history, then shows the protocol the event
+    /// the builder now owns.
+    fn record(&mut self, p: ProcessId, t: Time, event: Event<M>) {
+        if let Err(e) = self.builder.append(p, t, event) {
+            panic!("the scheduler broke R1-R4: {e}");
+        }
+        self.observe_last(p, t);
+    }
+
+    fn observe_last(&mut self, p: ProcessId, t: Time) {
+        let event = self.builder.history(p).last().expect("just appended");
+        self.protocols[p.index()].observe(t, event);
+    }
+
+    /// Delivers the earliest deliverable message to `p`, if there is one.
+    fn deliver(&mut self, p: ProcessId, t: Time) -> bool {
+        let Some((from, msg)) = self.net.deliver_one(p, t) else {
+            return false;
+        };
+        let event = Event::Recv { from, msg };
+        // A fault plan that duplicates can deliver a copy no send accounts
+        // for. The run must record what happened on the wire, so such a
+        // plan appends receives without the R3 check (which is all that
+        // `force_append` relaxes; a matched receive commits identically)
+        // and `Run::check_conditions` flags the result.
+        let appended = if self.duplication_possible {
+            self.builder.force_append(p, t, event)
+        } else {
+            self.builder.append(p, t, event)
+        };
+        if let Err(e) = appended {
+            panic!("the scheduler broke R1-R4: {e}");
+        }
+        self.observe_last(p, t);
+        true
+    }
+
+    /// Spends `p`'s event slot of tick `t` (R2: at most one event), with
+    /// the priority order *crash* > *workload initiation* >
+    /// *failure-detector report* > *delivery-or-protocol-action* (the last
+    /// pair arbitrated by the seeded RNG). `fd_report` is consulted only
+    /// when the staggered polling cadence reaches `p` at `t`; returning
+    /// `None` leaves the slot to the protocol. Returns `true` when the
+    /// slot was `p`'s crash.
+    pub(crate) fn slot(
+        &mut self,
+        p: ProcessId,
+        t: Time,
+        fd_report: impl FnOnce(&FaultTruth, &mut StdRng) -> Option<SuspectReport>,
+    ) -> bool {
+        if self.builder.crashed().contains(p) {
+            return false;
+        }
+        if self.truth.crash_time(p) == Some(t) {
+            self.builder
+                .append(p, t, Event::Crash)
+                .expect("crash append cannot violate R1-R4 on a live process");
+            self.net.drop_all_to(p);
+            self.pending_inits[p.index()].clear();
+            return true;
+        }
+        if let Some(action) = self.pending_inits[p.index()].pop_front() {
+            assert_eq!(
+                action.initiator(),
+                p,
+                "workload action owned by another process"
+            );
+            self.record(p, t, Event::Init { action });
+            return false;
+        }
+        if (t + p.index() as Time).is_multiple_of(self.fd_period) {
+            if let Some(report) = fd_report(&self.truth, &mut self.rng) {
+                self.record(p, t, Event::Suspect(report));
+                return false;
+            }
+        }
+        // Delivery vs protocol action, arbitrated by the RNG when a
+        // delivery is available.
+        let deliverable = self.net.has_deliverable(p, t);
+        if deliverable && self.rng.gen_bool(self.deliver_bias) && self.deliver(p, t) {
+            return false;
+        }
+        match self.protocols[p.index()].next_action(t) {
+            Some(ProtoAction::Send { to, msg }) => {
+                let event = Event::Send {
+                    to,
+                    msg: msg.clone(),
+                };
+                self.record(p, t, event);
+                if self.inject {
+                    self.net
+                        .send_faulty(p, to, msg, t, self.kind, &mut self.rng, &mut self.faults);
+                } else {
+                    self.net.send(p, to, msg, t, self.kind, &mut self.rng);
+                }
+            }
+            Some(ProtoAction::Do(action)) => self.record(p, t, Event::Do { action }),
+            None => {
+                // No protocol action; fall back to a delivery if one was
+                // available but lost the coin flip.
+                if deliverable {
+                    self.deliver(p, t);
+                }
+            }
+        }
+        false
+    }
+
+    /// Freezes the run at the horizon.
+    pub(crate) fn finish(self) -> SimOutcome<M> {
+        let crashed = self.builder.crashed();
+        let quiescent = self.net.is_idle()
+            && self.pending_inits.iter().all(VecDeque::is_empty)
+            && self
+                .workload
+                .schedule()
+                .iter()
+                .all(|&(t, a)| t <= self.horizon || crashed.contains(a.initiator()))
+            && self
+                .protocols
+                .iter()
+                .zip(ProcessId::all(self.builder.n()))
+                .all(|(proto, p)| crashed.contains(p) || proto.quiescent());
+        SimOutcome {
+            run: self.builder.finish(self.horizon),
+            truth: self.truth,
+            quiescent,
+            messages_sent: self.net.sent_count(),
+            messages_dropped: self.net.dropped_count(),
+            faults: self.faults.into_stats(),
+        }
     }
 }
 
@@ -86,137 +278,14 @@ where
     F: Fn(ProcessId) -> P,
     O: FdOracle + ?Sized,
 {
-    let n = config.n();
-    let mut rng = config.rng();
-    let truth = FaultTruth::new(config.crash_plan().resolve(n, &mut rng));
-    let mut protocols: Vec<P> = ProcessId::all(n)
-        .map(|p| {
-            let mut proto = make(p);
-            proto.start(p, n);
-            proto
-        })
-        .collect();
-    let mut builder: RunBuilder<M> = RunBuilder::new(n);
-    let mut net: Network<M> = Network::new(n);
-    let mut pending_inits: Vec<VecDeque<ActionId>> = vec![VecDeque::new(); n];
-    let kind = config.channel_kind();
-    let fd_period = config.fd_period_ticks();
-    let horizon = config.horizon_ticks();
-    // The armed fault engine draws from its own salted RNG stream, so an
-    // empty plan leaves the scheduler RNG sequence — and thus every
-    // previously pinned run — byte-identical.
-    let inject = !config.fault_plan().is_empty();
-    let duplication_possible = config.fault_plan().duplicates();
-    let mut faults = config.fault_plan().activate(config.seed_value());
-
-    for t in 1..=horizon {
-        // Enqueue this tick's workload initiations.
-        for action in workload.at_tick(t) {
-            pending_inits[action.initiator().index()].push_back(action);
-        }
-        for p in ProcessId::all(n) {
-            if builder.crashed().contains(p) {
-                continue;
-            }
-            // 1. Crash, if scheduled for this tick.
-            if truth.crash_time(p) == Some(t) {
-                builder
-                    .append(p, t, Event::Crash)
-                    .expect("crash append cannot violate R1-R4 on a live process");
-                net.drop_all_to(p);
-                pending_inits[p.index()].clear();
-                continue;
-            }
-            // 2. Workload initiation.
-            if let Some(action) = pending_inits[p.index()].pop_front() {
-                assert_eq!(
-                    action.initiator(),
-                    p,
-                    "workload action owned by another process"
-                );
-                let event = Event::Init { action };
-                builder.append(p, t, event.clone()).expect("init append");
-                protocols[p.index()].observe(t, &event);
-                continue;
-            }
-            // 3. Failure-detector report (staggered polling).
-            if (t + p.index() as Time).is_multiple_of(fd_period) {
-                if let Some(report) = oracle.poll(p, t, &truth, &mut rng) {
-                    let event = Event::Suspect(report);
-                    builder.append(p, t, event.clone()).expect("suspect append");
-                    protocols[p.index()].observe(t, &event);
-                    continue;
-                }
-            }
-            // 4. Delivery vs protocol action, arbitrated by the RNG when
-            //    both are available.
-            let deliverable = net.has_deliverable(p, t);
-            let prefer_delivery = deliverable
-                && (rng.gen_bool(config.deliver_bias_value()) || {
-                    // Peek whether the protocol even has an action; if not,
-                    // delivery is the only productive use of the slot.
-                    false
-                });
-            if prefer_delivery {
-                if let Some((from, msg)) = net.deliver_one(p, t) {
-                    let event = Event::Recv { from, msg };
-                    append_recv(&mut builder, p, t, event.clone(), duplication_possible);
-                    protocols[p.index()].observe(t, &event);
-                    continue;
-                }
-            }
-            match protocols[p.index()].next_action(t) {
-                Some(ProtoAction::Send { to, msg }) => {
-                    let event = Event::Send {
-                        to,
-                        msg: msg.clone(),
-                    };
-                    builder.append(p, t, event.clone()).expect("send append");
-                    protocols[p.index()].observe(t, &event);
-                    if inject {
-                        net.send_faulty(p, to, msg, t, kind, &mut rng, &mut faults);
-                    } else {
-                        net.send(p, to, msg, t, kind, &mut rng);
-                    }
-                }
-                Some(ProtoAction::Do(action)) => {
-                    let event = Event::Do { action };
-                    builder.append(p, t, event.clone()).expect("do append");
-                    protocols[p.index()].observe(t, &event);
-                }
-                None => {
-                    // No protocol action; fall back to a delivery if one was
-                    // available but lost the coin flip.
-                    if deliverable {
-                        if let Some((from, msg)) = net.deliver_one(p, t) {
-                            let event = Event::Recv { from, msg };
-                            append_recv(&mut builder, p, t, event.clone(), duplication_possible);
-                            protocols[p.index()].observe(t, &event);
-                        }
-                    }
-                }
-            }
+    let mut plane = ProtocolPlane::new(config, make, workload);
+    for t in 1..=config.horizon_ticks() {
+        plane.begin_tick(t);
+        for p in ProcessId::all(config.n()) {
+            plane.slot(p, t, |truth, rng| oracle.poll(p, t, truth, rng));
         }
     }
-
-    let crashed = builder.crashed();
-    let quiescent = net.is_idle()
-        && pending_inits.iter().all(VecDeque::is_empty)
-        && workload
-            .schedule()
-            .iter()
-            .all(|&(t, a)| t <= horizon || crashed.contains(a.initiator()))
-        && ProcessId::all(n)
-            .filter(|&p| !crashed.contains(p))
-            .all(|p| protocols[p.index()].quiescent());
-    SimOutcome {
-        run: builder.finish(horizon),
-        truth,
-        quiescent,
-        messages_sent: net.sent_count(),
-        messages_dropped: net.dropped_count(),
-        faults: faults.into_stats(),
-    }
+    plane.finish()
 }
 
 /// Simulates one run per seed, in parallel (feature `parallel`; sequential
