@@ -613,6 +613,12 @@ fn deliver_frame(
     } else {
         frame
     };
+    // Count the frame before its bytes can reach the reader: a client that
+    // has read a relayed answer must find it counted. A failed write takes
+    // the count back, so the tally still means fully written frames.
+    let len = payload.len() as u64;
+    stats.frames_forwarded.fetch_add(1, Ordering::Relaxed);
+    stats.bytes_forwarded.fetch_add(len, Ordering::Relaxed);
     let wrote = if let Some((chunk, pause)) = slice {
         let mut ok = true;
         for piece in payload.chunks(chunk) {
@@ -629,13 +635,11 @@ fn deliver_frame(
         dst.write_all(payload).is_ok()
     };
     if !wrote {
+        stats.frames_forwarded.fetch_sub(1, Ordering::Relaxed);
+        stats.bytes_forwarded.fetch_sub(len, Ordering::Relaxed);
         let _ = src.shutdown(Shutdown::Both);
         return Delivery::Closed;
     }
-    stats.frames_forwarded.fetch_add(1, Ordering::Relaxed);
-    stats
-        .bytes_forwarded
-        .fetch_add(payload.len() as u64, Ordering::Relaxed);
     Delivery::Continue
 }
 

@@ -32,22 +32,23 @@
 
 use crate::ckpt_codec;
 use crate::explorer::{
-    assemble_subtree_runs, assemble_subtrees, expand_frontier, subtree_runs, ExploreResult,
-    Frontier,
+    assemble_subtree_runs, expand_frontier, subtree_runs, symmetry_plan, ExploreResult, Frontier,
+    ReductionStats, FRONTIER_TARGET,
 };
 use crate::wire::{ExploreSpec, WireMsg};
 use ktudc_model::budget::{AbortReason, Budget};
-use ktudc_model::Run;
+use ktudc_model::{Run, System};
 use ktudc_store::{Journal, SyncPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 
-/// The fixed breadth-first fan-out width of checkpointed explorations.
+/// The breadth-first fan-out width of checkpointed explorations — the
+/// explorer's own, recorded in every journal header.
 ///
 /// Deliberately NOT derived from the thread count: the subtree split must
 /// replay identically on any machine that resumes the journal.
-pub const CHECKPOINT_SUBTREE_TARGET: usize = 64;
+pub const CHECKPOINT_SUBTREE_TARGET: usize = FRONTIER_TARGET;
 
 /// One journal entry of a checkpointed exploration, JSON-encoded.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -235,43 +236,41 @@ pub fn explore_spec_checkpointed_budgeted(
         )?;
     }
 
-    let frontier: Frontier<WireMsg, _> =
-        expand_frontier(&config, &|p| spec.protocol.instantiate(p), subtree_target);
+    // Journal entries hold each subtree's own capped output: no cap sharing.
+    let plan = symmetry_plan(&config);
+    let plan = plan.as_ref();
+    let mut reduction = ReductionStats::default();
+    let frontier: Frontier<WireMsg, _> = expand_frontier(
+        &config,
+        &|p| spec.protocol.instantiate(p),
+        subtree_target,
+        plan,
+        &mut reduction,
+    );
 
-    if frontier.exhausted(&config) {
-        // Whole space fit inside the frontier: one terminal entry.
+    if frontier.t > config.horizon {
+        // Whole space fit inside the frontier: every root is a one-run
+        // subtree, journaled together as one terminal entry.
         stats.total_subtrees = 1;
         if let Some((runs, complete)) = leaves {
             stats.resumed_subtrees = 1;
-            return Ok((
-                CheckpointOutcome::Done(ExploreResult {
-                    system: ktudc_model::System::new(runs),
-                    complete,
-                }),
-                stats,
-            ));
+            return Ok((CheckpointOutcome::Done(explored(runs, complete)), stats));
         }
-        if let Some(b) = budget {
-            if let Err(reason) = b.check() {
-                return Ok((
-                    CheckpointOutcome::Aborted {
-                        reason,
-                        partial: None,
-                        subtrees_done: 0,
-                    },
-                    stats,
-                ));
-            }
+        // Leaf polls read the clock only every `POLL_STRIDE` steps.
+        let computed = if budget.is_some_and(|b| b.check().is_err()) {
+            Vec::new()
+        } else {
+            subtree_runs(&config, plan, frontier, budget, false, &mut reduction)
+        };
+        if let Some(reason) = budget.and_then(Budget::tripped) {
+            return Ok((aborted(reason, computed, config.max_runs, 0), stats));
         }
-        let result = frontier.leaves_result(&config);
+        let (runs, complete) = assemble_subtree_runs(computed, config.max_runs);
         journal
-            .append(&ckpt_codec::encode_leaves(
-                result.system.runs(),
-                result.complete,
-            ))
+            .append(&ckpt_codec::encode_leaves(&runs, complete))
             .map_err(|e| format!("checkpoint append: {e}"))?;
         stats.computed_subtrees = 1;
-        return Ok((CheckpointOutcome::Done(result), stats));
+        return Ok((CheckpointOutcome::Done(explored(runs, complete)), stats));
     }
 
     let Frontier { level, t, p_idx } = frontier;
@@ -296,24 +295,18 @@ pub fn explore_spec_checkpointed_budgeted(
     // Compute missing subtrees in small parallel chunks, journaling after
     // each chunk so a kill between chunks loses at most one chunk of
     // work. Chunk size tracks the worker count; it affects only the
-    // checkpoint cadence, never the output (assembly is by index). The
-    // fan-out steals: subtree sizes are uneven, so contiguous chunking
-    // would park finished workers behind the unluckiest one.
-    // A computed subtree: its index, its runs, and its completeness.
-    type Computed = (usize, (Vec<Run<WireMsg>>, bool));
+    // checkpoint cadence, never the output (assembly is by index).
     // At least 8 per chunk so group commit amortizes even on one core;
     // a kill between syncs costs at most one chunk of recomputation.
     let chunk = (ktudc_par::thread_count().max(1) * 2).max(8);
-    for batch in todo.chunks(chunk) {
-        if let Some(b) = budget {
-            if b.check().is_err() {
-                break;
-            }
+    let mut todo = todo.into_iter().peekable();
+    while todo.peek().is_some() {
+        if budget.is_some_and(|b| b.check().is_err()) {
+            break;
         }
-        let (computed, _): (Vec<Computed>, _) =
-            ktudc_par::par_map_steal(batch.to_vec(), |(index, mut state)| {
-                (index, subtree_runs(&config, &mut state, t, p_idx, budget))
-            });
+        let (indices, level): (Vec<usize>, Vec<_>) = todo.by_ref().take(chunk).unzip();
+        let batch = Frontier { level, t, p_idx };
+        let computed = subtree_runs(&config, plan, batch, budget, false, &mut reduction);
         // If the budget tripped during this batch, at least one of its
         // subtrees was abort-truncated — and an abort-truncated subtree is
         // indistinguishable from a legitimately run-cap-truncated one
@@ -326,10 +319,11 @@ pub fn explore_spec_checkpointed_budgeted(
             // the whole chunk, instead of an fsync per subtree. Durability
             // granularity is unchanged (frames validate individually; a
             // torn batch recovers its prefix and the rest is recomputed).
-            let entries: Vec<Vec<u8>> = computed
+            let entries: Vec<Vec<u8>> = indices
                 .iter()
-                .map(|(index, (runs, complete))| {
-                    ckpt_codec::encode_subtree(*index, runs, *complete)
+                .zip(&computed)
+                .map(|(&index, (runs, complete))| {
+                    ckpt_codec::encode_subtree(index, runs, *complete)
                 })
                 .collect();
             journal
@@ -337,7 +331,7 @@ pub fn explore_spec_checkpointed_budgeted(
                 .map_err(|e| format!("checkpoint append: {e}"))?;
             stats.computed_subtrees += computed.len();
         }
-        for (index, runs_complete) in computed {
+        for (index, runs_complete) in indices.into_iter().zip(computed) {
             results[index] = Some(runs_complete);
         }
         if tripped {
@@ -350,17 +344,9 @@ pub fn explore_spec_checkpointed_budgeted(
 
     if let Some(reason) = budget.and_then(Budget::tripped) {
         let subtrees_done = stats.resumed_subtrees + stats.computed_subtrees;
-        let available: Vec<(Vec<Run<WireMsg>>, bool)> = results.into_iter().flatten().collect();
-        let (runs, _) = assemble_subtree_runs(available, config.max_runs);
+        let available = results.into_iter().flatten().collect();
         return Ok((
-            CheckpointOutcome::Aborted {
-                reason,
-                partial: (!runs.is_empty()).then(|| ExploreResult {
-                    system: ktudc_model::System::new(runs),
-                    complete: false,
-                }),
-                subtrees_done,
-            },
+            aborted(reason, available, config.max_runs, subtrees_done),
             stats,
         ));
     }
@@ -369,10 +355,31 @@ pub fn explore_spec_checkpointed_budgeted(
         .into_iter()
         .map(|r| r.expect("every subtree index resolved"))
         .collect();
-    Ok((
-        CheckpointOutcome::Done(assemble_subtrees(ordered, config.max_runs)),
-        stats,
-    ))
+    let (runs, complete) = assemble_subtree_runs(ordered, config.max_runs);
+    Ok((CheckpointOutcome::Done(explored(runs, complete)), stats))
+}
+
+fn explored(runs: Vec<Run<WireMsg>>, complete: bool) -> ExploreResult<WireMsg> {
+    ExploreResult {
+        system: System::new(runs),
+        complete,
+    }
+}
+
+/// The outcome of a tripped budget: the subtrees available at the trip,
+/// assembled in frontier order into an incomplete partial system.
+fn aborted(
+    reason: AbortReason,
+    available: Vec<(Vec<Run<WireMsg>>, bool)>,
+    max_runs: usize,
+    subtrees_done: usize,
+) -> CheckpointOutcome {
+    let (runs, _) = assemble_subtree_runs(available, max_runs);
+    CheckpointOutcome::Aborted {
+        reason,
+        partial: (!runs.is_empty()).then(|| explored(runs, false)),
+        subtrees_done,
+    }
 }
 
 /// Resumes (or, if already finished, replays) the checkpointed

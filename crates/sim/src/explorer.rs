@@ -23,16 +23,18 @@
 //!
 //! # Exploration strategy
 //!
-//! [`explore`] shares ONE mutable state across the whole depth-first tree
-//! and rewinds it with an undo log ([`RunBuilder::unappend`] plus reverse
+//! Plain, reduced ([`Reduction`]) and checkpointed explorations take one
+//! path: the first scheduling slots are expanded breadth-first into a
+//! fixed-width frontier of subtree roots, and each root is walked on the
+//! work-stealing map (`ktudc-par`, feature `parallel`) by one copy-light
+//! DFS. The DFS shares ONE mutable state across its subtree and rewinds
+//! it with an undo log ([`RunBuilder::unappend`] plus reverse
 //! channel/protocol bookkeeping) instead of deep-cloning builder, channels
 //! and every protocol at each branch; only the one protocol a branch
-//! actually steps is cloned. The first few scheduling slots are expanded
-//! breadth-first into independent subtrees which are then explored on
-//! multiple threads (`ktudc-par`, feature `parallel`). Both changes are
-//! invisible in the output: runs come back in exactly the depth-first
-//! branch order of the original clone-per-branch enumerator, which is kept
-//! as [`explore_reference`] and held identical by differential tests.
+//! actually steps is cloned. None of this shows in a plain walk's output:
+//! runs come back in exactly the depth-first branch order of the original
+//! clone-per-branch enumerator, which is kept as [`explore_reference`] and
+//! held identical by differential tests.
 
 use crate::protocol::{ProtoAction, Protocol};
 use ktudc_model::budget::{AbortReason, Budget};
@@ -40,6 +42,7 @@ use ktudc_model::hashing::StableHasher;
 use ktudc_model::{Event, ProcSet, ProcessId, Run, RunBuilder, SuspectReport, System, Time};
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
 
 /// Deterministic failure-detector rule for the explorer: given the polling
 /// process, the tick, and the branch-local crashed set, optionally produce a
@@ -120,18 +123,10 @@ pub struct Reduction {
     pub sleep_sets: bool,
 }
 
-impl Reduction {
-    /// Whether any knob is on (i.e. [`explore`] must take the reduced
-    /// path rather than the reference-identical one).
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.sleep_sets || self.symmetry.iter().any(|c| c.len() > 1)
-    }
-}
-
 /// Counters from one exploration: how much work each reduction saved and
-/// how the parallel fan-out behaved. All zero when the corresponding
-/// mechanism is off (or the run was single-threaded).
+/// how the parallel fan-out behaved. The reduction counters are zero when
+/// the corresponding mechanism is off, `steals` when the walk ran on one
+/// thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReductionStats {
     /// Tick-boundary states pruned as symmetric duplicates of an
@@ -341,7 +336,7 @@ struct Perm {
 /// The validated symmetry group of a config: every composition of
 /// within-class permutations (identity included, first). `None` when no
 /// usable class survives validation — then symmetry reduction is off.
-struct SymmetryPlan {
+pub(crate) struct SymmetryPlan {
     perms: Vec<Perm>,
 }
 
@@ -369,7 +364,7 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
 /// initiation names as initiator — relabeling such a process would move
 /// its `init` event onto a process the config forbids from initiating,
 /// producing non-runs of the context.
-fn symmetry_plan(config: &ExploreConfig) -> Option<SymmetryPlan> {
+pub(crate) fn symmetry_plan(config: &ExploreConfig) -> Option<SymmetryPlan> {
     let n = config.n;
     let mut claimed = vec![false; n];
     for (_, a) in &config.initiations {
@@ -608,7 +603,7 @@ where
 ///
 /// Runs are produced in depth-first branch order — identical, run for run,
 /// to [`explore_reference`] — but the tree is walked copy-light (one shared
-/// state, rewound via an undo log) and the top-level branches fan out
+/// state, rewound via an undo log) and the frontier subtrees fan out
 /// across threads when the `parallel` feature is on.
 ///
 /// # Panics
@@ -627,10 +622,11 @@ where
 /// the entry point for benchmarks and any caller that wants to see how
 /// much the configured reductions and the work-stealing fan-out did.
 ///
-/// With `config.reduction` at its default this is exactly [`explore`]
-/// (bit-identical to [`explore_reference`]); with reductions on, the run
-/// set shrinks as documented on [`Reduction`]. Either way the output is
-/// the same for every thread count.
+/// Plain and reduced explorations take the same walk: with
+/// `config.reduction` at its default the output is bit-identical to
+/// [`explore_reference`]; with reductions on, the run set shrinks as
+/// documented on [`Reduction`]. Either way the output is the same for
+/// every thread count.
 ///
 /// # Panics
 ///
@@ -709,123 +705,30 @@ where
     if budget.is_some_and(|b| b.check().is_err()) {
         return (Vec::new(), false);
     }
-    if config.reduction.is_active() {
-        return explore_runs_reduced(config, make, budget, stats);
-    }
-    let threads = ktudc_par::thread_count();
-    stats.workers = threads.max(1);
-    if threads <= 1 {
-        let mut state = initial_state(config, make);
-        let mut runs: Vec<Run<M>> = Vec::new();
-        let mut complete = true;
-        dfs(config, &mut state, 1, 0, &mut runs, &mut complete, budget);
-        return (runs, complete);
-    }
-
-    let frontier = expand_frontier(config, make, threads * 4);
-    if frontier.exhausted(config) {
-        return frontier.leaves_runs(config);
-    }
-
-    let Frontier { level, t, p_idx } = frontier;
-    // Work-stealing fan-out: subtree sizes are wildly uneven (one subtree
-    // can hold most of the run tree), so contiguous chunking would
-    // serialize behind the unluckiest worker. Results come back in
-    // frontier order, so the output is unchanged.
-    type SubtreeOut<M> = Vec<(Vec<Run<M>>, bool)>;
-    let (results, steal_stats): (SubtreeOut<M>, _) = ktudc_par::par_map_steal(level, |mut st| {
-        subtree_runs(config, &mut st, t, p_idx, budget)
-    });
-    stats.steals = steal_stats.steals;
-    stats.workers = steal_stats.workers;
-    assemble_subtree_runs(results, config.max_runs)
-}
-
-/// The fixed fan-out width of *reduced* explorations. Deliberately not
-/// the thread count: symmetry dedup is hierarchical (frontier-level, then
-/// per-subtree seen-sets), so the subtree split is part of the output —
-/// pinning it makes the reduced run set identical on every machine and
-/// thread count, exactly like the checkpointed explorer pins its own
-/// split.
-pub(crate) const REDUCED_FRONTIER_TARGET: usize = 64;
-
-/// The reduced exploration: symmetry-canonicalized, sleep-set-pruned,
-/// fanned out over the work-stealing map. Structure mirrors the plain
-/// path, with the frontier target fixed (see [`REDUCED_FRONTIER_TARGET`])
-/// and each subtree carrying its own canonical-digest seen-set — dedup
-/// therefore never races across threads and the output is deterministic.
-/// Cross-subtree duplicates are missed (only frontier-level dedup catches
-/// those), costing reduction, never soundness.
-fn explore_runs_reduced<M, P, F>(
-    config: &ExploreConfig,
-    make: &F,
-    budget: Option<&Budget>,
-    stats: &mut ReductionStats,
-) -> (Vec<Run<M>>, bool)
-where
-    M: Clone + Eq + Hash + Send,
-    P: Protocol<M> + Clone + Send,
-    F: Fn(ProcessId) -> P,
-{
     let plan = symmetry_plan(config);
-    let sleep_on = sleep_sets_on(config);
-    let frontier = expand_frontier_reduced(
-        config,
-        make,
-        REDUCED_FRONTIER_TARGET,
-        plan.as_ref(),
-        sleep_on,
-        stats,
-    );
-    if frontier.exhausted(config) {
-        stats.workers = 1;
-        return frontier.leaves_runs(config);
-    }
-    let Frontier { level, t, p_idx } = frontier;
-    let threads = ktudc_par::thread_count();
-    if threads <= 1 {
-        stats.workers = 1;
-        let mut results = Vec::with_capacity(level.len());
-        for mut st in level {
-            let mut local = ReductionStats::default();
-            results.push(subtree_runs_reduced(
-                config,
-                plan.as_ref(),
-                sleep_on,
-                &mut st,
-                t,
-                p_idx,
-                budget,
-                &mut local,
-            ));
-            stats.absorb(local);
-        }
-        return assemble_subtree_runs(results, config.max_runs);
-    }
-    let plan = plan.as_ref();
-    let (outcomes, steal_stats) = ktudc_par::par_map_steal(level, |mut st| {
-        let mut local = ReductionStats::default();
-        let result = subtree_runs_reduced(
-            config, plan, sleep_on, &mut st, t, p_idx, budget, &mut local,
-        );
-        (result, local)
-    });
-    let mut results = Vec::with_capacity(outcomes.len());
-    for (result, local) in outcomes {
-        results.push(result);
-        stats.absorb(local);
-    }
-    stats.steals = steal_stats.steals;
-    stats.workers = steal_stats.workers;
+    let frontier = expand_frontier(config, make, FRONTIER_TARGET, plan.as_ref(), stats);
+    // Only the reduction counters could see work past the run cap, and a
+    // walk without reductions has none: its subtrees share the cap.
+    let share_cap = plan.is_none() && !sleep_sets_on(config);
+    let results = subtree_runs(config, plan.as_ref(), frontier, budget, share_cap, stats);
     assemble_subtree_runs(results, config.max_runs)
 }
+
+/// The breadth-first fan-out width of every exploration. Deliberately not
+/// the thread count: symmetry dedup is hierarchical (frontier-level, then
+/// per-subtree seen-sets), so the subtree split is part of a reduced
+/// walk's output — pinning it makes every run set identical on every
+/// machine and thread count. A plain walk's output does not depend on it.
+pub(crate) const FRONTIER_TARGET: usize = 64;
 
 /// A breadth-first expansion of the first scheduling slots: independent
 /// subtree roots, all parked at the same `(t, p_idx)` slot, whose
 /// level-order concatenation is exactly the sequential depth-first run
-/// order. Produced by [`expand_frontier`]; consumed by [`explore`]'s
-/// fan-out and by the checkpointed explorer (`crate::checkpoint`), which
-/// journals completed subtrees by their index in `level`.
+/// order. Produced by [`expand_frontier`]; consumed by [`subtree_runs`],
+/// both for [`explore`] and for the checkpointed explorer
+/// (`crate::checkpoint`), which journals completed subtrees by their index
+/// in `level`. When the horizon runs out first (`t > horizon`), every root
+/// is a leaf — a one-run subtree.
 pub(crate) struct Frontier<M, P> {
     /// The subtree roots, in sequential branch order.
     pub(crate) level: Vec<ExploreState<M, P>>,
@@ -835,113 +738,19 @@ pub(crate) struct Frontier<M, P> {
     pub(crate) p_idx: usize,
 }
 
-impl<M, P> Frontier<M, P> {
-    /// Whether expansion ran off the horizon — every state is a complete
-    /// leaf and there are no subtrees to descend into.
-    pub(crate) fn exhausted(&self, config: &ExploreConfig) -> bool {
-        self.t > config.horizon
-    }
-
-    /// Assembles the all-leaves case into a result (only valid when
-    /// [`exhausted`](Self::exhausted)).
-    pub(crate) fn leaves_result(&self, config: &ExploreConfig) -> ExploreResult<M>
-    where
-        M: Clone + Eq + Hash,
-    {
-        let (runs, complete) = self.leaves_runs(config);
-        ExploreResult {
-            system: System::new(runs),
-            complete,
-        }
-    }
-
-    /// Raw-runs form of [`leaves_result`](Self::leaves_result).
-    pub(crate) fn leaves_runs(&self, config: &ExploreConfig) -> (Vec<Run<M>>, bool)
-    where
-        M: Clone + Eq + Hash,
-    {
-        let mut runs: Vec<Run<M>> = self
-            .level
-            .iter()
-            .map(|s| s.builder.snapshot(config.horizon))
-            .collect();
-        let complete = runs.len() < config.max_runs;
-        runs.truncate(config.max_runs);
-        (runs, complete)
-    }
-}
-
 /// Expands the first scheduling slots breadth-first until there are at
-/// least `target` independent subtrees (or the horizon is exhausted).
-/// The fan-out they seed is invisible in the output for ANY `target`,
-/// which is why the checkpointed explorer can pin its own fixed target
-/// (recorded in the checkpoint header) and still reproduce [`explore`]'s
-/// exact run order.
+/// least `target` independent subtrees (or the horizon is exhausted),
+/// applying the reductions on the way: the first slots are part of the
+/// tree, so sleep-set pruning filters their choices, and at every
+/// completed tick the level is deduplicated by canonical digest in
+/// frontier order (the first orbit member reached keeps the subtree;
+/// later ones are pruned). Level order is preserved, so the surviving
+/// subtrees' concatenation is still the sequential depth-first order.
 pub(crate) fn expand_frontier<M, P, F>(
     config: &ExploreConfig,
     make: &F,
     target: usize,
-) -> Frontier<M, P>
-where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-    F: Fn(ProcessId) -> P,
-{
-    let mut t: Time = 1;
-    let mut p_idx = 0usize;
-    let mut level: Vec<ExploreState<M, P>> = vec![initial_state(config, make)];
-    while level.len() < target && t <= config.horizon {
-        let p = ProcessId::new(p_idx);
-        let mut next = Vec::with_capacity(level.len() * 2);
-        for mut st in level {
-            for choice in choices_for(config, &mut st, p, t) {
-                let mut s = st.clone();
-                let _ = apply(config, &mut s, p, t, choice);
-                next.push(s);
-            }
-        }
-        level = next;
-        p_idx += 1;
-        if p_idx == config.n {
-            p_idx = 0;
-            t += 1;
-        }
-    }
-    Frontier { level, t, p_idx }
-}
-
-/// Runs one frontier subtree to completion (its own copy-light DFS,
-/// capped at `config.max_runs`), returning its runs and completeness.
-pub(crate) fn subtree_runs<M, P>(
-    config: &ExploreConfig,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
-    budget: Option<&Budget>,
-) -> (Vec<Run<M>>, bool)
-where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-{
-    let mut runs = Vec::new();
-    let mut complete = true;
-    dfs(config, state, t, p_idx, &mut runs, &mut complete, budget);
-    (runs, complete)
-}
-
-/// [`expand_frontier`] with the reductions applied while expanding: the
-/// first slots are part of the tree, so sleep-set pruning filters their
-/// choices, and at every completed tick the level is deduplicated by
-/// canonical digest in frontier order (the first orbit member reached
-/// keeps the subtree; later ones are pruned). Level order is preserved,
-/// so the surviving subtrees' concatenation is still the sequential
-/// reduced DFS order.
-fn expand_frontier_reduced<M, P, F>(
-    config: &ExploreConfig,
-    make: &F,
-    target: usize,
     plan: Option<&SymmetryPlan>,
-    sleep_on: bool,
     stats: &mut ReductionStats,
 ) -> Frontier<M, P>
 where
@@ -957,9 +766,7 @@ where
         let mut next = Vec::with_capacity(level.len() * 2);
         for mut st in level {
             let mut choices = choices_for(config, &mut st, p, t);
-            if sleep_on {
-                filter_sleeping(&mut choices, st.sleep[p.index()], stats);
-            }
+            filter_sleeping(&mut choices, st.sleep[p.index()], stats);
             for choice in choices {
                 let mut s = st.clone();
                 let _ = apply(config, &mut s, p, t, choice);
@@ -984,7 +791,8 @@ where
 
 /// Drops `Recv` choices whose sender bit is set in the process's sleep
 /// mask (the same delivery was enabled and refused at the previous slot;
-/// the channel head cannot have changed since sends only append).
+/// the channel head cannot have changed since sends only append). Masks
+/// are all-zero unless sleep sets are on, so plain walks pass through.
 fn filter_sleeping<M>(choices: &mut Vec<Choice<M>>, mask: u128, stats: &mut ReductionStats) {
     if mask == 0 {
         return;
@@ -994,167 +802,105 @@ fn filter_sleeping<M>(choices: &mut Vec<Choice<M>>, mask: u128, stats: &mut Redu
     stats.sleep_set_pruned += (before - choices.len()) as u64;
 }
 
-/// [`subtree_runs`] through the reduced DFS, with a fresh per-subtree
-/// seen-set.
-#[allow(clippy::too_many_arguments)]
-fn subtree_runs_reduced<M, P>(
+/// Walks every frontier subtree to completion on the work-stealing map,
+/// each with its own copy-light DFS, canonical-digest seen-set and run
+/// cap, returning `(runs, complete)` per subtree in frontier order.
+/// Subtree sizes are wildly uneven, so contiguous chunking would
+/// serialize behind the unluckiest worker; stealing does not change the
+/// output. Dedup never races across threads: cross-subtree duplicates
+/// are missed, costing reduction, never soundness.
+///
+/// Each subtree is capped at `config.max_runs` on its own. With
+/// `share_cap` it takes only the room its finished predecessors left (see
+/// [`room`]): the first `max_runs` runs of the concatenation are the
+/// same, but a capped walk stops near the cap. Callers that report the
+/// walk's work (reduction counters) or each subtree's own output
+/// (checkpoint journal entries) must not share it.
+pub(crate) fn subtree_runs<M, P>(
     config: &ExploreConfig,
     plan: Option<&SymmetryPlan>,
-    sleep_on: bool,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
+    frontier: Frontier<M, P>,
     budget: Option<&Budget>,
+    share_cap: bool,
     stats: &mut ReductionStats,
-) -> (Vec<Run<M>>, bool)
+) -> Vec<(Vec<Run<M>>, bool)>
 where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
+    M: Clone + Eq + Hash + Send,
+    P: Protocol<M> + Clone + Send,
 {
-    let mut runs = Vec::new();
-    let mut complete = true;
-    let mut seen = HashSet::new();
-    dfs_reduced(
-        config,
-        plan,
-        sleep_on,
-        state,
-        t,
-        p_idx,
-        &mut runs,
-        &mut complete,
-        &mut seen,
-        stats,
-        budget,
-    );
-    (runs, complete)
+    let Frontier { level, t, p_idx } = frontier;
+    // Run counts of the finished subtrees, by frontier index.
+    let finished = Mutex::new(vec![None; level.len()]);
+    let lock = || finished.lock().expect("finished-subtree lock poisoned");
+    let roots: Vec<_> = level.into_iter().enumerate().collect();
+    let (walks, steal_stats) = ktudc_par::par_map_steal(roots, |(index, mut root)| {
+        let cap = if share_cap {
+            room(&lock(), index, config.max_runs)
+        } else {
+            config.max_runs
+        };
+        let mut walk = Walk {
+            config,
+            plan,
+            budget,
+            cap,
+            runs: Vec::new(),
+            complete: true,
+            seen: HashSet::new(),
+            stats: ReductionStats::default(),
+        };
+        walk.dfs(&mut root, t, p_idx);
+        if share_cap {
+            lock()[index] = Some(walk.runs.len());
+        }
+        walk
+    });
+    stats.steals += steal_stats.steals;
+    stats.workers = steal_stats.workers;
+    walks
+        .into_iter()
+        .map(|walk| {
+            stats.absorb(walk.stats);
+            (walk.runs, walk.complete)
+        })
+        .collect()
 }
 
-/// The copy-light DFS with reductions: identical walk to [`dfs`], plus a
-/// canonical-digest check at every tick boundary (pruning whole subtrees
-/// of states isomorphic to one already explored in this subtree) and
-/// sleep-set filtering of each slot's choices. Sleep masks are saved and
-/// restored around apply/revert since [`revert`] does not touch them.
-#[allow(clippy::too_many_arguments)]
-fn dfs_reduced<M, P>(
-    config: &ExploreConfig,
-    plan: Option<&SymmetryPlan>,
-    sleep_on: bool,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
-    runs: &mut Vec<Run<M>>,
-    complete: &mut bool,
-    seen: &mut HashSet<u64>,
-    stats: &mut ReductionStats,
-    budget: Option<&Budget>,
-) where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-{
-    if let Some(b) = budget {
-        if b.poll().is_err() {
-            *complete = false;
-            return;
-        }
-    }
-    if runs.len() >= config.max_runs {
-        *complete = false;
-        return;
-    }
-    if t > config.horizon {
-        runs.push(state.builder.snapshot(config.horizon));
-        return;
-    }
-    if p_idx == config.n {
-        if let Some(plan) = plan {
-            // Completed tick `t`: prune if an isomorphic state (same
-            // canonical digest, which includes the tick) was already
-            // explored in this subtree.
-            if !seen.insert(canonical_digest(state, config.n, t + 1, plan)) {
-                stats.states_canonicalized += 1;
-                return;
-            }
-        }
-        dfs_reduced(
-            config,
-            plan,
-            sleep_on,
-            state,
-            t + 1,
-            0,
-            runs,
-            complete,
-            seen,
-            stats,
-            budget,
-        );
-        return;
-    }
-    let p = ProcessId::new(p_idx);
-    let mut choices = choices_for(config, state, p, t);
-    if sleep_on {
-        filter_sleeping(&mut choices, state.sleep[p.index()], stats);
-    }
-    let saved_sleep = state.sleep[p.index()];
-    for choice in choices {
-        let undo = apply(config, state, p, t, choice);
-        dfs_reduced(
-            config,
-            plan,
-            sleep_on,
-            state,
-            t,
-            p_idx + 1,
-            runs,
-            complete,
-            seen,
-            stats,
-            budget,
-        );
-        revert(state, p, undo);
-        state.sleep[p.index()] = saved_sleep;
-        if runs.len() >= config.max_runs {
-            *complete = false;
-            return;
-        }
+/// The cap of subtree `index`, given the run counts of the subtrees that
+/// have finished: nothing once the finished leading subtrees fill
+/// `max_runs`, what they left once all of its predecessors have finished,
+/// and the whole cap while an unfinished one may still fall short. Never
+/// less than the subtree's share of the first `max_runs` runs.
+fn room(finished: &[Option<usize>], index: usize, max_runs: usize) -> usize {
+    let leading = finished[..index].iter().map_while(|&runs| runs);
+    let (done, runs) = leading.fold((0, 0), |(done, runs), r| (done + 1, runs + r));
+    if runs >= max_runs {
+        0
+    } else if done == index {
+        max_runs - runs
+    } else {
+        max_runs
     }
 }
 
 /// Concatenates per-subtree results (in frontier order) under the run
-/// cap. Each subtree was capped at `max_runs` on its own, so the first
-/// `max_runs` runs of the concatenation equal the sequential result; the
+/// cap. Each subtree was capped at no less than its share of the first
+/// `max_runs` runs, so those runs equal the sequential result; the
 /// enumeration is complete iff every subtree finished and the total
-/// stayed under the cap (matching the sequential flag semantics).
-pub(crate) fn assemble_subtrees<M: Eq + Hash>(
-    results: Vec<(Vec<Run<M>>, bool)>,
-    max_runs: usize,
-) -> ExploreResult<M> {
-    let (runs, complete) = assemble_subtree_runs(results, max_runs);
-    ExploreResult {
-        system: System::new(runs),
-        complete,
-    }
-}
-
-/// Raw-runs form of [`assemble_subtrees`], for callers that must tolerate
-/// an empty concatenation (a budget abort before the first leaf).
+/// stayed under the cap (matching the sequential flag semantics). The
+/// concatenation may be empty (a budget abort before the first leaf).
 pub(crate) fn assemble_subtree_runs<M: Eq + Hash>(
     results: Vec<(Vec<Run<M>>, bool)>,
     max_runs: usize,
 ) -> (Vec<Run<M>>, bool) {
-    let mut runs: Vec<Run<M>> = Vec::new();
-    let mut total = 0usize;
-    let mut all_subtrees_complete = true;
-    for (rs, c) in results {
-        total += rs.len();
-        all_subtrees_complete &= c;
-        if runs.len() < max_runs {
-            let room = max_runs - runs.len();
-            runs.extend(rs.into_iter().take(room));
-        }
+    let total: usize = results.iter().map(|(rs, _)| rs.len()).sum();
+    let complete = total < max_runs && results.iter().all(|&(_, c)| c);
+    let mut runs = Vec::with_capacity(total.min(max_runs));
+    for (rs, _) in results {
+        let room = max_runs - runs.len();
+        runs.extend(rs.into_iter().take(room));
     }
-    (runs, all_subtrees_complete && total < max_runs)
+    (runs, complete)
 }
 
 /// The original clone-per-branch enumerator, kept as the baseline the
@@ -1295,8 +1041,8 @@ where
         // A stutter while deliveries were pending is a *refusal*: record
         // which senders' heads were refused, so the next slot can prune
         // re-offering them. Any real event resets the refusal context.
-        // Callers that rewind (the reduced DFS) save and restore this mask
-        // around apply/revert; clone-per-branch callers need no undo.
+        // The rewinding DFS saves and restores this mask around
+        // apply/revert; clone-per-branch callers need no undo.
         state.sleep[p.index()] = match &choice {
             Choice::Stutter => ProcessId::all(n)
                 .filter(|from| !state.channels[from.index() * n + p.index()].is_empty())
@@ -1445,51 +1191,74 @@ where
     }
 }
 
-/// Copy-light depth-first walk: one shared state, rewound after every
-/// branch. Check placement mirrors [`dfs_reference`] exactly so the
-/// truncation flag semantics stay identical. A tripped budget behaves
-/// like the run cap (marks the walk incomplete and unwinds), except the
-/// trip is shared: once any worker trips it, every subtree's next poll
-/// fails fast too.
-#[allow(clippy::too_many_arguments)]
-fn dfs<M, P>(
-    config: &ExploreConfig,
-    state: &mut ExploreState<M, P>,
-    t: Time,
-    p_idx: usize,
-    runs: &mut Vec<Run<M>>,
-    complete: &mut bool,
-    budget: Option<&Budget>,
-) where
-    M: Clone + Eq + Hash,
-    P: Protocol<M> + Clone,
-{
-    if let Some(b) = budget {
-        if b.poll().is_err() {
-            *complete = false;
+/// One subtree's depth-first walk: what it reads, and what it has found.
+struct Walk<'a, M> {
+    config: &'a ExploreConfig,
+    /// The symmetry group to canonicalize under; `None` when symmetry
+    /// reduction is off.
+    plan: Option<&'a SymmetryPlan>,
+    budget: Option<&'a Budget>,
+    /// Runs this subtree may produce (see [`subtree_runs`]).
+    cap: usize,
+    runs: Vec<Run<M>>,
+    complete: bool,
+    /// Canonical digests of the tick-boundary states explored so far.
+    seen: HashSet<u64>,
+    stats: ReductionStats,
+}
+
+impl<M: Clone + Eq + Hash> Walk<'_, M> {
+    /// Copy-light depth-first walk: one shared state, rewound after every
+    /// branch. Check placement mirrors [`dfs_reference`] exactly so the
+    /// truncation flag semantics stay identical. A tripped budget behaves
+    /// like the run cap (marks the walk incomplete and unwinds), except
+    /// the trip is shared: once any worker trips it, every subtree's next
+    /// poll fails fast too. Each tick boundary is checked against the
+    /// seen-set when there is a symmetry plan, and sleep masks are saved
+    /// and restored around apply/revert since [`revert`] does not touch
+    /// them.
+    fn dfs<P>(&mut self, state: &mut ExploreState<M, P>, t: Time, p_idx: usize)
+    where
+        P: Protocol<M> + Clone,
+    {
+        let config = self.config;
+        if self.budget.is_some_and(|b| b.poll().is_err()) || self.runs.len() >= self.cap {
+            self.complete = false;
             return;
         }
-    }
-    if runs.len() >= config.max_runs {
-        *complete = false;
-        return;
-    }
-    if t > config.horizon {
-        runs.push(state.builder.snapshot(config.horizon));
-        return;
-    }
-    if p_idx == config.n {
-        dfs(config, state, t + 1, 0, runs, complete, budget);
-        return;
-    }
-    let p = ProcessId::new(p_idx);
-    for choice in choices_for(config, state, p, t) {
-        let undo = apply(config, state, p, t, choice);
-        dfs(config, state, t, p_idx + 1, runs, complete, budget);
-        revert(state, p, undo);
-        if runs.len() >= config.max_runs {
-            *complete = false;
+        if t > config.horizon {
+            self.runs.push(state.builder.snapshot(config.horizon));
             return;
+        }
+        if p_idx == config.n {
+            if let Some(plan) = self.plan {
+                // Completed tick `t`: prune if an isomorphic state (same
+                // canonical digest, which includes the tick) was already
+                // explored in this subtree.
+                if !self
+                    .seen
+                    .insert(canonical_digest(state, config.n, t + 1, plan))
+                {
+                    self.stats.states_canonicalized += 1;
+                    return;
+                }
+            }
+            self.dfs(state, t + 1, 0);
+            return;
+        }
+        let p = ProcessId::new(p_idx);
+        let saved_sleep = state.sleep[p.index()];
+        let mut choices = choices_for(config, state, p, t);
+        filter_sleeping(&mut choices, saved_sleep, &mut self.stats);
+        for choice in choices {
+            let undo = apply(config, state, p, t, choice);
+            self.dfs(state, t, p_idx + 1);
+            revert(state, p, undo);
+            state.sleep[p.index()] = saved_sleep;
+            if self.runs.len() >= self.cap {
+                self.complete = false;
+                return;
+            }
         }
     }
 }
@@ -1755,30 +1524,55 @@ mod tests {
 
     #[test]
     fn step_capped_exploration_aborts_with_partial_runs() {
-        let cfg = ExploreConfig::new(3, 3);
-        let full = explore::<u8, _, _>(&cfg, |_| Idle);
-        // Probe how many polls the full walk takes, then allow only half:
-        // the abort is then guaranteed, whatever the machine's fan-out.
-        let probe = Budget::unlimited();
-        assert!(matches!(
-            explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &probe),
-            ExploreStatus::Done(_)
-        ));
-        let budget = Budget::unlimited().with_max_steps(probe.steps() / 2);
-        match explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &budget) {
-            ExploreStatus::Aborted { reason, partial } => {
-                assert_eq!(reason, AbortReason::StepLimit);
-                let partial = partial.expect("half the walk generates at least one run");
-                assert!(!partial.complete);
-                assert!(partial.system.len() < full.system.len());
-                // Partial runs are a prefix-consistent subset: every run is
-                // fully formed (no torn histories).
-                for run in partial.system.runs() {
-                    run.check_conditions(cfg.max_failures).unwrap();
+        // Plain and reduced walks alike. The symmetric tree fits inside the
+        // frontier, so this also pins that every leaf root is polled.
+        for cfg in [
+            ExploreConfig::new(3, 3),
+            ExploreConfig::new(3, 3).symmetric(vec![0, 1, 2]),
+            ExploreConfig::new(3, 3).with_sleep_sets(),
+        ] {
+            let full = explore::<u8, _, _>(&cfg, |_| Idle);
+            // Probe how many polls the full walk takes, then allow only
+            // half: the abort is then guaranteed, whatever the fan-out.
+            let probe = Budget::unlimited();
+            assert!(matches!(
+                explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &probe),
+                ExploreStatus::Done(_)
+            ));
+            let budget = Budget::unlimited().with_max_steps(probe.steps() / 2);
+            match explore_budgeted::<u8, _, _>(&cfg, |_| Idle, &budget) {
+                ExploreStatus::Aborted { reason, partial } => {
+                    assert_eq!(reason, AbortReason::StepLimit, "config {cfg:?}");
+                    let partial = partial.expect("half the walk generates at least one run");
+                    assert!(!partial.complete);
+                    assert!(partial.system.len() < full.system.len());
+                    // Partial runs are a prefix-consistent subset: every
+                    // run is fully formed (no torn histories).
+                    for run in partial.system.runs() {
+                        run.check_conditions(cfg.max_failures).unwrap();
+                    }
                 }
+                ExploreStatus::Done(_) => panic!("a half-walk step cap must trip: {cfg:?}"),
             }
-            ExploreStatus::Done(_) => panic!("a half-walk step cap must trip"),
         }
+    }
+
+    #[test]
+    fn a_capped_plain_walk_stops_near_the_cap() {
+        // Ten runs in each frontier subtree would take a poll per run at
+        // least; sharing the cap in frontier order walks about ten runs.
+        let cfg = ExploreConfig::new(3, 5).max_runs(10);
+        let mk = |_| OneShot {
+            me: ProcessId::new(0),
+            sent: false,
+        };
+        let budget = Budget::unlimited();
+        let _ = explore_budgeted(&cfg, mk, &budget);
+        assert!(
+            budget.steps() < 10 * FRONTIER_TARGET as u64,
+            "{} polls",
+            budget.steps()
+        );
     }
 
     #[test]
@@ -1834,21 +1628,11 @@ mod tests {
     }
 
     #[test]
-    fn inactive_reduction_goes_through_the_plain_path() {
-        let cfg = ExploreConfig::new(2, 3).max_failures(1);
-        assert!(!cfg.reduction.is_active());
-        // Declaring a singleton class activates nothing either.
-        assert!(!cfg.clone().symmetric(vec![1]).reduction.is_active());
-        assert!(cfg.clone().symmetric(vec![0, 1]).reduction.is_active());
-        assert!(cfg.with_sleep_sets().reduction.is_active());
-    }
-
-    #[test]
     fn degenerate_symmetry_class_matches_reference_exactly() {
-        // Out-of-range members activate the reduced machinery but yield no
-        // usable permutation, so the reduced walk must reproduce the
-        // reference system verbatim — this pins the reduced plumbing
-        // (fixed frontier target, subtree assembly) as order-preserving.
+        // Out-of-range members yield no usable permutation, so the walk
+        // must reproduce the reference system verbatim — this pins the
+        // fan-out plumbing (fixed frontier target, subtree assembly) as
+        // order-preserving.
         let make = |_me: ProcessId| OneShot {
             me: ProcessId::new(0),
             sent: false,
@@ -1856,7 +1640,6 @@ mod tests {
         let cfg = ExploreConfig::new(2, 3)
             .max_failures(1)
             .symmetric(vec![7, 9]);
-        assert!(cfg.reduction.is_active());
         let (reduced, stats) = explore_with_stats(&cfg, make);
         let reference = explore_reference(&ExploreConfig::new(2, 3).max_failures(1), make);
         assert!(reduced.complete && reference.complete);
