@@ -552,6 +552,11 @@ impl HardenedClient {
         std::mem::take(&mut self.events)
     }
 
+    /// The address this client connects to.
+    pub(crate) fn addr(&self) -> &str {
+        &self.addr
+    }
+
     /// The server generation observed on the most recent response.
     #[must_use]
     pub fn last_generation(&self) -> Option<u64> {
@@ -768,7 +773,13 @@ impl HardenedClient {
                     self.conn = None;
                     self.spend_attempt(&mut attempts, &e.to_string(), Duration::ZERO)?;
                 }
-                Some(e) => return Err(e),
+                Some(e) => {
+                    // A contract violation leaves unread lines behind:
+                    // the next call on this socket would read them as
+                    // its own answers.
+                    self.conn = None;
+                    return Err(e);
+                }
             }
         }
     }
@@ -1062,5 +1073,58 @@ mod tests {
         assert!(c.observe_generation(7));
         assert_eq!(c.metrics().server_restarts, 2);
         assert_eq!(c.last_generation(), Some(7));
+    }
+
+    #[test]
+    fn a_protocol_violation_drops_the_connection() {
+        use std::net::TcpListener;
+        // A stub whose first connection writes one stray line (an answer
+        // to an id nobody sent) ahead of its real answer; every later
+        // connection is clean.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+        let addr = listener.local_addr().expect("stub addr").to_string();
+        std::thread::spawn(move || {
+            for (nth, stream) in listener.incoming().enumerate() {
+                let Ok(stream) = stream else { continue };
+                std::thread::spawn(move || {
+                    let mut writer = stream.try_clone().expect("clone stub stream");
+                    let mut stray = nth == 0;
+                    for line in BufReader::new(stream).lines() {
+                        let Ok(line) = line else { return };
+                        let Ok(request) = serde_json::from_str::<Request>(&line) else {
+                            return;
+                        };
+                        let mut out = String::new();
+                        if std::mem::take(&mut stray) {
+                            let junk =
+                                Response::new(request.id + 1000, false, 0, ResponseKind::Pong);
+                            out.push_str(&serde_json::to_string(&junk).expect("encode"));
+                            out.push('\n');
+                        }
+                        let answer = Response::new(request.id, false, 0, ResponseKind::Pong);
+                        out.push_str(&serde_json::to_string(&answer).expect("encode"));
+                        out.push('\n');
+                        if writer.write_all(out.as_bytes()).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        let mut c = HardenedClient::new(addr, RetryPolicy::default());
+        // The stray answer is a contract violation: not retriable.
+        assert!(matches!(
+            c.request(RequestKind::Ping),
+            Err(ClientError::Protocol(msg)) if msg.contains("unknown id")
+        ));
+        // The desynchronized socket must not serve the next call: it
+        // would read the previous call's answer as its own.
+        for _ in 0..3 {
+            let resp = c
+                .request(RequestKind::Ping)
+                .expect("fresh connection answers");
+            assert_eq!(resp.result, ResponseKind::Pong);
+        }
+        assert_eq!(c.metrics().reconnects, 1);
     }
 }

@@ -11,13 +11,13 @@
 //!   under a fleet supervisor re-bind ephemeral ports, so addresses are
 //!   *state*, not configuration; everything that talks to a shard reads
 //!   the table at call time.
-//! - [`ClusterClient`] — a [`HardenedClient`] per shard with failover:
-//!   when a shard is down (transport error, retries exhausted, open
-//!   breaker) or sheds with `Overloaded`/`DeadlineExceeded`, the request
-//!   is retried on the next replica in ring order. Generations are
-//!   tracked *per shard*, so a worker restart surfaces as a typed
-//!   [`ClusterEvent::WorkerRestarted`] for that shard even when the
-//!   respawned worker came back on a different port.
+//! - [`ClusterClient`] — routes by cache key over the ring and fails
+//!   over to the next replica when a shard is down (transport error,
+//!   retries exhausted, open breaker), shedding with
+//!   `Overloaded`/`DeadlineExceeded`, or suspected by the optional
+//!   detector plane. Routing, failover, per-shard generation tracking
+//!   and the health fan-out are the router's own engine
+//!   (`serve::failover`); the client adds hedging and batch fan-out.
 //! - [`Fleet`] + [`launch_fleet`] — runs N workers under the existing
 //!   crash-loop [`supervise`] machinery, one supervisor thread per
 //!   shard, updating [`Membership`] from each worker's boot banner.
@@ -28,18 +28,16 @@
 //! the direct computation.
 
 use crate::cache::LruCache;
-use crate::client::{ClientError, ClientMetrics, HardenedClient, RetryPolicy};
+use crate::client::{ClientError, HardenedClient, RetryPolicy};
 use crate::detector::{DetectorConfig, DetectorPlane};
+use crate::failover::{is_shed, stamped, Shards};
 use crate::metrics::StatsReport;
 use crate::ring::HashRing;
 use crate::supervisor::{supervise, SupervisorPolicy, SupervisorReport};
-use crate::wire::{
-    ClusterHealthReport, ErrorCode, RequestKind, RequestOptions, Response, ResponseKind,
-    ShardHealth,
-};
+use crate::wire::{ClusterHealthReport, RequestKind, RequestOptions, Response};
 use std::io::{BufRead, BufReader};
 use std::process::Child;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -102,24 +100,6 @@ impl Membership {
     }
 }
 
-/// A noteworthy event observed by a [`ClusterClient`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClusterEvent {
-    /// Shard `shard`'s responses started arriving from a different
-    /// worker generation: that worker restarted. Tracked per shard (not
-    /// per connection), so it fires exactly once per observed restart
-    /// even when the respawned worker came back on a new port and the
-    /// underlying connection was rebuilt.
-    WorkerRestarted {
-        /// Which shard restarted.
-        shard: usize,
-        /// Generation observed from the shard before the change.
-        old_gen: u64,
-        /// Generation that revealed the restart.
-        new_gen: u64,
-    },
-}
-
 /// Counters of what a [`ClusterClient`] has masked or observed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClusterMetrics {
@@ -128,85 +108,45 @@ pub struct ClusterMetrics {
     pub failovers: u64,
     /// Worker restarts detected via a per-shard generation change.
     pub worker_restarts: u64,
-    /// The per-shard [`HardenedClient`] counters, indexed by shard.
-    pub per_shard: Vec<ClientMetrics>,
 }
 
-/// Per-shard connection state guarded by one mutex per shard.
-struct ShardState {
-    /// The address this client was built for; rebuilt when membership
-    /// moves the shard.
-    addr: String,
-    client: HardenedClient,
-    /// Last generation observed from this *shard* (survives client
-    /// rebuilds, which is what makes restart detection per-worker).
-    last_gen: Option<u64>,
-}
-
-/// A cluster-aware client: one [`HardenedClient`] per shard, requests
-/// routed by cache key over the [`HashRing`], failover to the next
-/// replica when a shard is down or shedding.
+/// A cluster-aware client: requests routed by cache key over the
+/// [`HashRing`], failover to the next replica when a shard is down or
+/// shedding, through the same failover engine as the router.
 ///
 /// Thread-safe: batches fan sub-batches out across shards on scoped
-/// threads, and independent callers may share one instance (per-shard
-/// state is mutex-guarded).
+/// threads, and independent callers may share one instance (each call
+/// checks out its own pooled per-shard connection).
 pub struct ClusterClient {
-    membership: Arc<Membership>,
-    ring: HashRing,
-    policy: RetryPolicy,
-    shards: Vec<Mutex<ShardState>>,
-    failovers: AtomicU64,
-    worker_restarts: AtomicU64,
-    events: Mutex<Vec<ClusterEvent>>,
-    /// Optional live failure-detector plane: suspected shards are
-    /// demoted at routing time, soft-suspected primaries are hedged.
-    detector: Option<Arc<DetectorPlane>>,
+    shards: Shards,
 }
 
 impl ClusterClient {
     /// A client over `membership` (no connections are made yet). Each
-    /// shard gets its own independent copy of `policy` — per-shard
-    /// retry budgets, backoff schedules, and circuit breakers.
+    /// shard connection gets its own independent copy of `policy` —
+    /// per-shard retry budgets, backoff schedules, and circuit breakers.
     #[must_use]
     pub fn new(membership: Arc<Membership>, policy: RetryPolicy) -> ClusterClient {
-        let shards = membership.len();
-        let states = (0..shards)
-            .map(|shard| {
-                let addr = membership.addr(shard);
-                Mutex::new(ShardState {
-                    client: HardenedClient::new(addr.clone(), policy),
-                    addr,
-                    last_gen: None,
-                })
-            })
-            .collect();
         ClusterClient {
-            ring: HashRing::new(shards),
-            membership,
-            policy,
-            shards: states,
-            failovers: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-            detector: None,
+            shards: Shards::new(membership, policy),
         }
     }
 
     /// Attaches a live [`DetectorPlane`] (started immediately): requests
-    /// skip suspected shards proactively, and a primary whose φ is in
-    /// the soft band is hedged to the next replica after
-    /// [`DetectorPlane::hedge_delay`]. The plane stops when the client
-    /// is dropped.
+    /// and batches skip suspected shards proactively, and a request
+    /// whose primary's φ is in the soft band is hedged to the next
+    /// replica after [`DetectorPlane::hedge_delay`]. The plane stops
+    /// when the client is dropped.
     #[must_use]
     pub fn with_detector(mut self, config: DetectorConfig) -> ClusterClient {
-        self.detector = Some(DetectorPlane::start(Arc::clone(&self.membership), config));
+        self.shards.start_detector(config);
         self
     }
 
     /// The attached detector plane, if any.
     #[must_use]
     pub fn detector(&self) -> Option<&Arc<DetectorPlane>> {
-        self.detector.as_ref()
+        self.shards.detector()
     }
 
     /// The routing digest of a request body: the same key the scenario
@@ -220,110 +160,24 @@ impl ClusterClient {
     /// The shard that owns `kind` (before any failover).
     #[must_use]
     pub fn route(&self, kind: &RequestKind) -> usize {
-        self.ring.shard_for(Self::shard_key(kind))
+        self.ring().shard_for(Self::shard_key(kind))
     }
 
     /// The ring this client routes over.
     #[must_use]
     pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
-    /// Runs `f` against `shard`'s client, rebuilding the client first if
-    /// membership moved the shard, and folding any generation change
-    /// into per-shard restart tracking afterwards.
-    fn with_shard<T>(&self, shard: usize, f: impl FnOnce(&mut HardenedClient) -> T) -> T {
-        let mut state = self.shards[shard].lock().expect("shard lock poisoned");
-        let current = self.membership.addr(shard);
-        if state.addr != current {
-            state.addr = current.clone();
-            state.client = HardenedClient::new(current, self.policy);
-        }
-        let out = f(&mut state.client);
-        // The per-connection events are subsumed by per-shard tracking;
-        // drain them so they cannot accumulate unread.
-        let _ = state.client.take_events();
-        if let Some(new_gen) = state.client.last_generation() {
-            if let Some(old_gen) = state.last_gen {
-                if old_gen != new_gen {
-                    self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    self.events.lock().expect("events lock poisoned").push(
-                        ClusterEvent::WorkerRestarted {
-                            shard,
-                            old_gen,
-                            new_gen,
-                        },
-                    );
-                }
-            }
-            state.last_gen = Some(new_gen);
-        }
-        out
-    }
-
-    /// Last generation observed from `shard`, across client rebuilds.
-    fn last_gen(&self, shard: usize) -> Option<u64> {
-        self.shards[shard]
-            .lock()
-            .expect("shard lock poisoned")
-            .last_gen
-    }
-
-    /// Tries `kind` on each shard of `order` in turn. `attempted` is how
-    /// many shards were already tried by the caller (every try after the
-    /// first overall counts as a failover). A typed `Overloaded`/
-    /// `DeadlineExceeded` shed moves on to the next replica but is kept
-    /// as the answer of last resort: if *every* replica sheds, the
-    /// caller gets the typed shed (zero wrong answers, never a made-up
-    /// error), and only if every replica is unreachable does the
-    /// transport error surface.
-    fn try_order(
-        &self,
-        kind: &RequestKind,
-        options: RequestOptions,
-        order: &[usize],
-        mut attempted: u32,
-    ) -> Result<Response, ClientError> {
-        let mut last_err: Option<ClientError> = None;
-        let mut last_shed: Option<Response> = None;
-        for &shard in order {
-            if attempted > 0 {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            attempted += 1;
-            match self.with_shard(shard, |c| c.request_with_options(kind.clone(), options)) {
-                Ok(mut resp) => {
-                    if resp.shard.is_none() {
-                        resp.shard = Some(shard);
-                    }
-                    let shed = matches!(
-                        &resp.result,
-                        ResponseKind::Error(e)
-                            if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-                    );
-                    if shed {
-                        last_shed = Some(resp);
-                    } else {
-                        return Ok(resp);
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_shed {
-            Some(resp) => Ok(resp),
-            None => Err(last_err
-                .unwrap_or_else(|| ClientError::Protocol("cluster has no shards".to_string()))),
-        }
+        self.shards.ring()
     }
 
     /// Sends one request to its owner shard, failing over through the
-    /// ring's replica order when the owner is down or shedding.
+    /// ring's replica order when the owner is down, shedding, or
+    /// suspected.
     ///
     /// # Errors
     ///
     /// The last shard's error when *every* replica was unreachable;
-    /// typed sheds are successful responses (see [`ClusterClient::try_order`]).
+    /// typed sheds are successful responses (the last one is kept as
+    /// the answer of last resort).
     pub fn request(&self, kind: RequestKind) -> Result<Response, ClientError> {
         self.request_with_options(kind, RequestOptions::default())
     }
@@ -338,49 +192,13 @@ impl ClusterClient {
         kind: RequestKind,
         options: RequestOptions,
     ) -> Result<Response, ClientError> {
-        let mut order = self.ring.replicas(Self::shard_key(&kind));
-        let mut attempted = 0;
-        if let Some(plane) = &self.detector {
-            if plane.prefer_unsuspected(&mut order) {
-                // The owner is suspected: route straight to a replica.
-                // Passing `attempted: 1` makes try_order count the very
-                // first try as a failover, same meaning as the reactive
-                // counter ("answered by a replica other than the owner").
-                plane.note_proactive_failover();
-                attempted = 1;
-            }
+        let (order, attempted) = self.shards.order(&kind);
+        if let Some(plane) = self.shards.detector() {
             if order.len() >= 2 && plane.should_hedge(order[0]) {
                 return self.hedged(&kind, options, &order, attempted, plane);
             }
         }
-        self.try_order(&kind, options, &order, attempted)
-    }
-
-    /// One try against one shard, preserving the typed-shed-as-`Ok`
-    /// convention of [`ClusterClient::try_order`].
-    fn try_one(
-        &self,
-        shard: usize,
-        kind: &RequestKind,
-        options: RequestOptions,
-    ) -> Result<Response, ClientError> {
-        self.with_shard(shard, |c| c.request_with_options(kind.clone(), options))
-            .map(|mut resp| {
-                if resp.shard.is_none() {
-                    resp.shard = Some(shard);
-                }
-                resp
-            })
-    }
-
-    /// Whether a response is a typed shed (kept as last resort, never a
-    /// winning answer while another replica might still compute).
-    fn is_shed(resp: &Response) -> bool {
-        matches!(
-            &resp.result,
-            ResponseKind::Error(e)
-                if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-        )
+        self.shards.try_order(&kind, options, &order, attempted)
     }
 
     /// Hedges a request whose primary's φ crossed the soft threshold:
@@ -407,8 +225,8 @@ impl ClusterClient {
         let primary = order[0];
         let backup = order[1];
         // A demoted primary already counts as one failover.
-        self.failovers
-            .fetch_add(u64::from(attempted), Ordering::Relaxed);
+        self.shards.count_failovers(u64::from(attempted));
+        let leg = |shard: usize| self.shards.try_order(kind, options, &[shard], 0);
         let delay = plane.hedge_delay();
         let (tx, rx) = mpsc::channel();
         let mut legs: Vec<(usize, Result<Response, ClientError>)> = Vec::with_capacity(2);
@@ -416,7 +234,7 @@ impl ClusterClient {
         std::thread::scope(|scope| {
             let ptx = tx.clone();
             scope.spawn(move || {
-                let _ = ptx.send((primary, self.try_one(primary, kind, options)));
+                let _ = ptx.send((primary, leg(primary)));
             });
             match rx.recv_timeout(delay) {
                 Ok(leg) => legs.push(leg),
@@ -425,7 +243,7 @@ impl ClusterClient {
                     plane.note_hedge_fired();
                     let btx = tx.clone();
                     scope.spawn(move || {
-                        let _ = btx.send((backup, self.try_one(backup, kind, options)));
+                        let _ = btx.send((backup, leg(backup)));
                     });
                     legs.extend(rx.iter().take(2));
                 }
@@ -438,7 +256,7 @@ impl ClusterClient {
         let mut winner: Option<(usize, Response)> = None;
         for (shard, outcome) in legs {
             match outcome {
-                Ok(resp) if !Self::is_shed(&resp) => {
+                Ok(resp) if !is_shed(&resp) => {
                     if winner.is_none() {
                         winner = Some((shard, resp));
                     }
@@ -452,7 +270,7 @@ impl ClusterClient {
                 if shard == backup {
                     plane.note_hedge_won();
                     // The backup answered: served by a non-owner replica.
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
+                    self.shards.count_failovers(1);
                 } else {
                     plane.note_hedge_wasted();
                 }
@@ -463,7 +281,7 @@ impl ClusterClient {
         // replicas reactively, keeping the legs' typed shed and transport
         // error as answers of last resort.
         let tried = if fired { 2 } else { 1 };
-        match self.try_order(
+        match self.shards.try_order(
             kind,
             options,
             &order[tried.min(order.len())..],
@@ -478,10 +296,11 @@ impl ClusterClient {
     }
 
     /// Sends a batch, fanning per-shard sub-batches out in parallel
-    /// (scoped threads, one per owning shard) and merging responses back
-    /// into request order. Requests whose owner shard fails or sheds
-    /// fail over individually, so one dead shard degrades only its own
-    /// keys' latency, never the whole batch.
+    /// (scoped threads, one per first-choice shard: the owner, or its
+    /// failover target when the detector suspects the owner) and merging
+    /// responses back into request order. Requests whose shard fails or
+    /// sheds fail over individually, so one dead shard degrades only its
+    /// own keys' latency, never the whole batch. Batches are not hedged.
     ///
     /// # Errors
     ///
@@ -505,10 +324,15 @@ impl ClusterClient {
         &self,
         kinds: Vec<(RequestKind, RequestOptions)>,
     ) -> Result<Vec<Response>, ClientError> {
-        let shard_count = self.ring.shards();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, (kind, _)) in kinds.iter().enumerate() {
-            by_shard[self.route(kind)].push(i);
+        let orders: Vec<(Vec<usize>, u32)> = kinds
+            .iter()
+            .map(|(kind, _)| self.shards.order(kind))
+            .collect();
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.ring().shards()];
+        for (i, (order, _)) in orders.iter().enumerate() {
+            if let Some(&first) = order.first() {
+                by_shard[first].push(i);
+            }
         }
         let slots: Vec<Mutex<Option<Result<Response, ClientError>>>> =
             kinds.iter().map(|_| Mutex::new(None)).collect();
@@ -517,10 +341,9 @@ impl ClusterClient {
                 if indices.is_empty() {
                     continue;
                 }
-                let kinds = &kinds;
-                let slots = &slots;
+                let (kinds, orders, slots) = (&kinds, &orders, &slots);
                 scope.spawn(move || {
-                    self.run_sub_batch(shard, indices, kinds, slots);
+                    self.run_sub_batch(shard, indices, kinds, orders, slots);
                 });
             }
         });
@@ -535,73 +358,56 @@ impl ClusterClient {
         Ok(out)
     }
 
-    /// One shard's share of a batch: pipeline the sub-batch to the owner,
-    /// then fail individual sheds (or the whole sub-batch, on transport
-    /// failure) over to the remaining replicas.
+    /// One shard's share of a batch: pipeline the sub-batch to it, then
+    /// fail individual sheds (or the whole sub-batch, on transport
+    /// failure) over to the rest of each request's replica order,
+    /// keeping this shard's typed shed as the answer of last resort.
     fn run_sub_batch(
         &self,
         shard: usize,
         indices: &[usize],
         kinds: &[(RequestKind, RequestOptions)],
+        orders: &[(Vec<usize>, u32)],
         slots: &[Mutex<Option<Result<Response, ClientError>>>],
     ) {
+        // Requests sent here because their owner is suspected already
+        // count as failovers.
+        self.shards
+            .count_failovers(indices.iter().map(|&i| u64::from(orders[i].1)).sum());
+        let fail_over = |i: usize, shed: Option<Response>| {
+            let (kind, options) = &kinds[i];
+            let (order, attempted) = &orders[i];
+            match self
+                .shards
+                .try_order(kind, *options, &order[1..], attempted + 1)
+            {
+                Ok(resp) => Ok(resp),
+                Err(e) => shed.ok_or(e),
+            }
+        };
         let sub: Vec<(RequestKind, RequestOptions)> =
             indices.iter().map(|&i| kinds[i].clone()).collect();
-        let attempt = self.with_shard(shard, |c| c.batch_with_options(sub));
-        match attempt {
-            Ok(responses) if responses.len() == indices.len() => {
-                for (offset, mut resp) in responses.into_iter().enumerate() {
-                    let i = indices[offset];
-                    let shed = matches!(
-                        &resp.result,
-                        ResponseKind::Error(e)
-                            if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-                    );
-                    let outcome = if shed {
-                        self.fail_over(i, kinds, shard, Some(resp))
-                    } else {
-                        if resp.shard.is_none() {
-                            resp.shard = Some(shard);
+        let outcomes: Vec<Result<Response, ClientError>> =
+            match self.shards.call(shard, |c| c.batch_with_options(sub)) {
+                Ok(responses) if responses.len() == indices.len() => indices
+                    .iter()
+                    .zip(responses)
+                    .map(|(&i, resp)| {
+                        let resp = stamped(resp, shard);
+                        if is_shed(&resp) {
+                            fail_over(i, Some(resp))
+                        } else {
+                            Ok(resp)
                         }
-                        Ok(resp)
-                    };
-                    *slots[i].lock().expect("slot lock poisoned") = Some(outcome);
-                }
-            }
-            // A short response set would be a protocol violation from
-            // HardenedClient; treat it like a transport failure and
-            // re-derive every answer from the replicas.
-            Ok(_) | Err(_) => {
-                for &i in indices {
-                    let outcome = self.fail_over(i, kinds, shard, None);
-                    *slots[i].lock().expect("slot lock poisoned") = Some(outcome);
-                }
-            }
-        }
-    }
-
-    /// Retries request `i` on every replica after `owner`; falls back to
-    /// the owner's own typed shed when every replica also fails.
-    fn fail_over(
-        &self,
-        i: usize,
-        kinds: &[(RequestKind, RequestOptions)],
-        owner: usize,
-        owner_shed: Option<Response>,
-    ) -> Result<Response, ClientError> {
-        let (kind, options) = kinds[i].clone();
-        let order: Vec<usize> = self
-            .ring
-            .replicas(Self::shard_key(&kind))
-            .into_iter()
-            .filter(|&s| s != owner)
-            .collect();
-        match self.try_order(&kind, options, &order, 1) {
-            Ok(resp) => Ok(resp),
-            Err(e) => match owner_shed {
-                Some(shed) => Ok(shed),
-                None => Err(e),
-            },
+                    })
+                    .collect(),
+                // A short response set would be a protocol violation from
+                // HardenedClient; treat it like a transport failure and
+                // re-derive every answer from the replicas.
+                Ok(_) | Err(_) => indices.iter().map(|&i| fail_over(i, None)).collect(),
+            };
+        for (&i, outcome) in indices.iter().zip(outcomes) {
+            *slots[i].lock().expect("slot lock poisoned") = Some(outcome);
         }
     }
 
@@ -617,74 +423,33 @@ impl ClusterClient {
     /// request as a one-shard cluster, so nothing is lost either way.
     #[must_use]
     pub fn cluster_health(&self) -> ClusterHealthReport {
-        if self.ring.shards() == 1 {
-            if let Ok(mut report) = self.with_shard(0, HardenedClient::cluster_health) {
-                if let Some(plane) = &self.detector {
+        if self.ring().shards() == 1 {
+            if let Ok(mut report) = self.shards.call(0, HardenedClient::cluster_health) {
+                if let Some(plane) = self.shards.detector() {
                     plane.annotate(&mut report);
                 }
                 return report;
             }
         }
-        let rows: Vec<ShardHealth> = std::thread::scope(|scope| {
-            let probes: Vec<_> = (0..self.ring.shards())
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let addr = self.membership.addr(shard);
-                        match self.with_shard(shard, |c| c.health()) {
-                            Ok(report) => {
-                                ShardHealth::new(shard, addr, true, report.generation, Some(report))
-                            }
-                            Err(_) => ShardHealth::new(
-                                shard,
-                                addr,
-                                false,
-                                self.last_gen(shard).unwrap_or(0),
-                                None,
-                            ),
-                        }
-                    })
-                })
-                .collect();
-            probes
-                .into_iter()
-                .enumerate()
-                .map(|(shard, p)| {
-                    // A panicking probe must not take the whole report
-                    // down with it: report that shard as unreachable.
-                    p.join().unwrap_or_else(|_| {
-                        ShardHealth::new(
-                            shard,
-                            self.membership.addr(shard),
-                            false,
-                            self.last_gen(shard).unwrap_or(0),
-                            None,
-                        )
-                    })
-                })
-                .collect()
-        });
-        let mut report = ClusterHealthReport::aggregate(rows);
-        if let Some(plane) = &self.detector {
-            plane.annotate(&mut report);
-        }
-        report
+        self.shards.cluster_health()
     }
 
     /// Fetches every shard's metrics snapshot (sequentially; stats are
     /// cheap). Unreachable shards report their error in place.
     #[must_use]
     pub fn stats_per_shard(&self) -> Vec<(usize, Result<StatsReport, ClientError>)> {
-        (0..self.ring.shards())
-            .map(|shard| (shard, self.with_shard(shard, HardenedClient::stats)))
+        (0..self.ring().shards())
+            .map(|shard| (shard, self.shards.call(shard, HardenedClient::stats)))
             .collect()
     }
 
     /// Asks every shard to drain and exit; returns how many acknowledged
     /// (already-dead shards are not an error — the goal state is "down").
     pub fn shutdown_cluster(&self) -> usize {
-        (0..self.ring.shards())
+        (0..self.ring().shards())
             .filter(|&shard| {
-                self.with_shard(shard, HardenedClient::shutdown_server)
+                self.shards
+                    .call(shard, HardenedClient::shutdown_server)
                     .is_ok()
             })
             .count()
@@ -694,32 +459,8 @@ impl ClusterClient {
     #[must_use]
     pub fn metrics(&self) -> ClusterMetrics {
         ClusterMetrics {
-            failovers: self.failovers.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            per_shard: (0..self.ring.shards())
-                .map(|shard| {
-                    self.shards[shard]
-                        .lock()
-                        .expect("shard lock poisoned")
-                        .client
-                        .metrics()
-                })
-                .collect(),
-        }
-    }
-
-    /// Drains the accumulated [`ClusterEvent`]s (oldest first).
-    pub fn take_events(&self) -> Vec<ClusterEvent> {
-        std::mem::take(&mut *self.events.lock().expect("events lock poisoned"))
-    }
-}
-
-impl Drop for ClusterClient {
-    fn drop(&mut self) {
-        // The probe threads hold their own Arc to the plane, so it must
-        // be stopped explicitly — dropping the Arc alone would leak them.
-        if let Some(plane) = &self.detector {
-            plane.stop();
+            failovers: self.shards.failovers(),
+            worker_restarts: self.shards.restarts(),
         }
     }
 }
@@ -874,6 +615,7 @@ where
 mod tests {
     use super::*;
     use crate::server::{serve, ServeConfig};
+    use crate::wire::{ErrorCode, ResponseKind};
     use ktudc_core::harness::{CellSpec, FdChoice, ProtocolChoice};
 
     fn quick_policy() -> RetryPolicy {
@@ -1028,6 +770,39 @@ mod tests {
         assert_eq!(health.reachable_shards, 1);
         assert!(health.shards[0].reachable);
         assert!(!health.shards[1].reachable);
+        server.shutdown();
+    }
+
+    #[test]
+    fn batch_keeps_the_owners_stamped_shed_when_every_replica_is_dead() {
+        let server = serve(&ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("serve");
+        let membership = Arc::new(Membership::new(vec![
+            server.addr().to_string(),
+            "127.0.0.1:1".to_string(),
+        ]));
+        let cluster = ClusterClient::new(membership, quick_policy());
+        let kind = (0..64)
+            .map(cheap_cell)
+            .find(|k| cluster.route(k) == 0)
+            .expect("some key is owned by the live shard");
+        // A zero deadline is shed at admission, before any compute.
+        let shed_now = RequestOptions {
+            deadline_ms: Some(0),
+            ..RequestOptions::default()
+        };
+        let responses = cluster
+            .batch_with_options(vec![(kind, shed_now)])
+            .expect("the owner's typed shed is the answer of last resort");
+        let ResponseKind::Error(e) = &responses[0].result else {
+            panic!("expected a typed shed, got {:?}", responses[0].result);
+        };
+        assert_eq!(e.code, ErrorCode::DeadlineExceeded);
+        assert_eq!(responses[0].shard, Some(0), "the shed names its shard");
+        assert_eq!(cluster.metrics().failovers, 1);
         server.shutdown();
     }
 

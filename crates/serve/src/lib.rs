@@ -75,6 +75,7 @@ pub mod client;
 pub mod cluster;
 mod conn;
 pub mod detector;
+mod failover;
 pub mod metrics;
 pub mod ring;
 pub mod router;
@@ -86,7 +87,7 @@ pub use admission::{AimdConfig, AimdController, JobRegistry};
 pub use audit::{AuditReport, Auditor, FailureCount};
 pub use chaosnet::{chaos_proxy, ChaosProxy, ChaosStatsSnapshot, Direction, Toxic, ToxicPlan};
 pub use client::{Client, ClientError, ClientEvent, ClientMetrics, HardenedClient, RetryPolicy};
-pub use cluster::{launch_fleet, ClusterClient, ClusterEvent, ClusterMetrics, Fleet, Membership};
+pub use cluster::{launch_fleet, ClusterClient, ClusterMetrics, Fleet, Membership};
 pub use detector::{DetectorConfig, DetectorPlane, ShardSuspicion};
 pub use metrics::{Endpoint, StatsReport, SuspicionStats};
 pub use ring::HashRing;

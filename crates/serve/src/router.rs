@@ -4,18 +4,22 @@
 //! The router speaks the same newline-JSON protocol as a worker, so any
 //! existing client (plain, hardened, `ctl`) can point at it unchanged.
 //! Per request it computes the canonical-JSON cache key, walks the
-//! [`HashRing`]'s replica order, and forwards over a per-shard pool of
-//! [`HardenedClient`] connections — multiple checkouts per shard, so a
-//! pipelined batch fans out across shards *and* keeps each worker's own
-//! pool busy instead of serializing behind one connection.
+//! ring's replica order, and forwards over a per-shard pool of
+//! [`HardenedClient`](crate::client::HardenedClient) connections —
+//! multiple checkouts per shard, so a pipelined batch fans out across
+//! shards *and* keeps each worker's own pool busy instead of serializing
+//! behind one connection.
 //!
-//! Failover matches [`ClusterClient`](crate::cluster::ClusterClient):
-//! a transport failure, exhausted retries, or an open breaker moves to
-//! the next replica, as does a typed `Overloaded`/`DeadlineExceeded`
-//! shed (kept as the answer of last resort so a saturated cluster still
-//! answers with its own typed shed, never an invented error). Forwarded
+//! Routing, failover, generation tracking and the health fan-out are
+//! one engine (`serve::failover`) shared with
+//! [`ClusterClient`](crate::cluster::ClusterClient): a transport
+//! failure, exhausted retries, or an open breaker moves to the next
+//! replica, as does a typed `Overloaded`/`DeadlineExceeded` shed (kept
+//! as the answer of last resort so a saturated cluster still answers
+//! with its own typed shed, never an invented error). Forwarded
 //! responses keep the *worker's* generation and gain a `shard` stamp,
-//! so clients track restarts per worker rather than per connection.
+//! so clients track restarts per worker rather than per connection. The
+//! router adds only its own admission: a bounded forwarding pool.
 //!
 //! What the router answers itself: `Stats` (its own forwarding
 //! metrics, plus live [`SuspicionStats`](crate::metrics::SuspicionStats)
@@ -36,36 +40,26 @@
 //! duplicating every soft-suspect request would multiply fleet load
 //! exactly when the fleet is struggling.
 
-use crate::client::{ClientError, HardenedClient, RetryPolicy};
-use crate::cluster::{ClusterClient, Membership};
+use crate::client::RetryPolicy;
+use crate::cluster::Membership;
 use crate::conn::{self, Outbox};
-use crate::detector::{DetectorConfig, DetectorPlane};
+use crate::detector::DetectorConfig;
+use crate::failover::Shards;
 use crate::metrics::{Metrics, PoolCounters};
-use crate::ring::HashRing;
 use crate::server::ServerFaults;
 use crate::wire::{
-    encode_result, ClusterHealthReport, ErrorCode, HealthReport, Request, RequestKind,
-    RequestOptions, Response, ResponseKind, ShardHealth, MAX_REQUEST_LINE_BYTES,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    encode_result, ErrorCode, HealthReport, Request, RequestKind, RequestOptions, Response,
+    ResponseKind, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 use ktudc_par::{Pool, SubmitError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How often the accept loop re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Idle connections kept per shard. Checkouts beyond this are created
-/// fresh and dropped at checkin once the pool is full, so a burst can
-/// still fan out while steady state stays at a bounded socket count.
-const POOL_PER_SHARD: usize = 8;
-
-/// Sentinel for "no generation observed yet" in the per-shard table
-/// (real generations start at 0 for non-durable workers).
-const GEN_UNSEEN: u64 = u64::MAX;
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -107,29 +101,12 @@ impl Default for RouterConfig {
     }
 }
 
-/// One pooled forwarding connection; discarded when membership moves
-/// its shard to a different address.
-struct PooledConn {
-    addr: String,
-    client: HardenedClient,
-}
-
 struct RouterShared {
-    membership: Arc<Membership>,
-    ring: HashRing,
-    policy: RetryPolicy,
+    /// Ring, forwarding connections, generation tracking, failover
+    /// accounting and the live suspicion plane.
+    shards: Shards,
     /// `None` once shutdown has taken the pool for draining.
     pool: Mutex<Option<Pool>>,
-    /// Idle forwarding connections, per shard.
-    conns: Vec<Mutex<Vec<PooledConn>>>,
-    /// Last generation observed per shard ([`GEN_UNSEEN`] until the
-    /// first forwarded response), for the health view and restart
-    /// accounting.
-    last_gen: Vec<AtomicU64>,
-    /// Worker restarts observed across all shards (generation changes).
-    restarts_observed: AtomicU64,
-    /// Requests answered by a replica other than their owner shard.
-    failovers: AtomicU64,
     /// Shared with every connection's [`Outbox`] (response and flush
     /// counts).
     metrics: Arc<Metrics>,
@@ -137,164 +114,13 @@ struct RouterShared {
     queue_capacity: usize,
     /// Per-connection idle read deadline; `None` disables reaping.
     idle_timeout: Option<Duration>,
-    /// Live suspicion plane; probes every shard in the background.
-    detector: Option<Arc<DetectorPlane>>,
     shutdown: AtomicBool,
 }
 
 impl RouterShared {
-    /// Takes a forwarding connection for `shard`, discarding pooled ones
-    /// that predate a membership change.
-    fn checkout(&self, shard: usize) -> PooledConn {
-        let current = self.membership.addr(shard);
-        let mut pool = self.conns[shard].lock().expect("conn pool lock poisoned");
-        while let Some(conn) = pool.pop() {
-            if conn.addr == current {
-                return conn;
-            }
-            // Stale address: the worker moved; drop the dead connection.
-        }
-        drop(pool);
-        PooledConn {
-            client: HardenedClient::new(current.clone(), self.policy),
-            addr: current,
-        }
-    }
-
-    /// Returns a healthy connection to the shard's pool (bounded; extras
-    /// from a burst are simply dropped).
-    fn checkin(&self, shard: usize, conn: PooledConn) {
-        let mut pool = self.conns[shard].lock().expect("conn pool lock poisoned");
-        if pool.len() < POOL_PER_SHARD && conn.addr == self.membership.addr(shard) {
-            pool.push(conn);
-        }
-    }
-
-    /// Folds a forwarded response's generation into the per-shard table;
-    /// counts a restart when it changed.
-    fn observe_generation(&self, shard: usize, generation: u64) {
-        let old = self.last_gen[shard].swap(generation, Ordering::SeqCst);
-        if old != GEN_UNSEEN && old != generation {
-            self.restarts_observed.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Forwards `kind` through the ring's replica order. Returns the
-    /// worker's response (shard-stamped) or the final error once every
-    /// replica failed. Mirrors `ClusterClient::try_order`: typed
-    /// `Overloaded`/`DeadlineExceeded` sheds advance to the next replica
-    /// but are kept as the answer of last resort.
-    fn forward(
-        &self,
-        kind: &RequestKind,
-        options: RequestOptions,
-    ) -> Result<Response, ClientError> {
-        let key = ClusterClient::shard_key(kind);
-        let mut order = self.ring.replicas(key);
-        if let Some(plane) = &self.detector {
-            if plane.prefer_unsuspected(&mut order) {
-                // The owner is suspected: this request is served by a
-                // replica, so it counts under the existing failover
-                // meaning — it just pays no timeout to learn it.
-                plane.note_proactive_failover();
-                self.failovers.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let mut last_err: Option<ClientError> = None;
-        let mut last_shed: Option<Response> = None;
-        for (attempt, shard) in order.into_iter().enumerate() {
-            if attempt > 0 {
-                self.failovers.fetch_add(1, Ordering::SeqCst);
-            }
-            let mut conn = self.checkout(shard);
-            match conn.client.request_with_options(kind.clone(), options) {
-                Ok(mut resp) => {
-                    self.observe_generation(shard, resp.generation);
-                    self.checkin(shard, conn);
-                    if resp.shard.is_none() {
-                        resp.shard = Some(shard);
-                    }
-                    let shed = matches!(
-                        &resp.result,
-                        ResponseKind::Error(e)
-                            if matches!(e.code, ErrorCode::Overloaded | ErrorCode::DeadlineExceeded)
-                    );
-                    if shed {
-                        last_shed = Some(resp);
-                    } else {
-                        return Ok(resp);
-                    }
-                }
-                // The connection may be desynchronized; drop it rather
-                // than pool it.
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_shed {
-            Some(resp) => Ok(resp),
-            None => Err(last_err
-                .unwrap_or_else(|| ClientError::Protocol("cluster has no shards".to_string()))),
-        }
-    }
-
-    /// Live per-shard health probes, aggregated. Probes run on scoped
-    /// threads so one dead shard's timeout does not stack onto the rest.
-    fn cluster_health(&self) -> ClusterHealthReport {
-        let rows: Vec<ShardHealth> = std::thread::scope(|scope| {
-            let probes: Vec<_> = (0..self.ring.shards())
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let addr = self.membership.addr(shard);
-                        let mut conn = self.checkout(shard);
-                        match conn.client.health() {
-                            Ok(report) => {
-                                self.observe_generation(shard, report.generation);
-                                self.checkin(shard, conn);
-                                ShardHealth::new(shard, addr, true, report.generation, Some(report))
-                            }
-                            Err(_) => {
-                                let last = self.last_gen[shard].load(Ordering::SeqCst);
-                                ShardHealth::new(
-                                    shard,
-                                    addr,
-                                    false,
-                                    if last == GEN_UNSEEN { 0 } else { last },
-                                    None,
-                                )
-                            }
-                        }
-                    })
-                })
-                .collect();
-            probes
-                .into_iter()
-                .enumerate()
-                .map(|(shard, p)| {
-                    // A panicking probe must not take the whole report
-                    // down with it: report that shard as unreachable.
-                    p.join().unwrap_or_else(|_| {
-                        let last = self.last_gen[shard].load(Ordering::SeqCst);
-                        ShardHealth::new(
-                            shard,
-                            self.membership.addr(shard),
-                            false,
-                            if last == GEN_UNSEEN { 0 } else { last },
-                            None,
-                        )
-                    })
-                })
-                .collect()
-        });
-        let mut report = ClusterHealthReport::aggregate(rows);
-        if let Some(plane) = &self.detector {
-            plane.annotate(&mut report);
-        }
-        report
-    }
-
     /// The router's own (non-durable) health report: its forwarding
-    /// queue, plus the restart count it has observed fleet-wide in the
-    /// `steals`-adjacent observability slots it doesn't use.
+    /// queue and uptime. Per-worker generations are in `ClusterHealth`;
+    /// observed restarts in [`RouterHandle::restarts_observed`].
     fn health_report(&self) -> HealthReport {
         let (queue_depth, in_flight) = self
             .pool
@@ -353,20 +179,20 @@ impl RouterHandle {
     /// Requests answered by a replica other than their owner shard.
     #[must_use]
     pub fn failovers(&self) -> u64 {
-        self.shared.failovers.load(Ordering::SeqCst)
+        self.shared.shards.failovers()
     }
 
     /// Worker restarts the router has observed via generation changes.
     #[must_use]
     pub fn restarts_observed(&self) -> u64 {
-        self.shared.restarts_observed.load(Ordering::SeqCst)
+        self.shared.shards.restarts()
     }
 
     /// The router's live suspicion counters; `None` when the detector
     /// plane is disabled.
     #[must_use]
     pub fn suspicion_stats(&self) -> Option<crate::metrics::SuspicionStats> {
-        self.shared.detector.as_ref().map(|p| p.stats())
+        self.shared.shards.detector().map(|p| p.stats())
     }
 
     /// Blocks until the router has stopped accepting and drained every
@@ -404,25 +230,19 @@ pub fn serve_router(
     } else {
         config.workers
     };
-    let shards = membership.len();
+    let mut shards = Shards::new(membership, config.policy);
+    if let Some(detector) = config.detector {
+        shards.start_detector(detector);
+    }
     let shared = Arc::new(RouterShared {
-        ring: HashRing::new(shards),
-        policy: config.policy,
+        shards,
         pool: Mutex::new(Some(Pool::new(workers, config.queue_capacity))),
-        conns: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-        last_gen: (0..shards).map(|_| AtomicU64::new(GEN_UNSEEN)).collect(),
-        restarts_observed: AtomicU64::new(0),
-        failovers: AtomicU64::new(0),
         metrics: Arc::new(Metrics::new()),
         workers,
         queue_capacity: config.queue_capacity,
         idle_timeout: (config.idle_timeout_ms > 0)
             .then(|| Duration::from_millis(config.idle_timeout_ms)),
-        detector: config
-            .detector
-            .map(|cfg| DetectorPlane::start(Arc::clone(&membership), cfg)),
         shutdown: AtomicBool::new(false),
-        membership,
     });
     let accept = {
         let shared = Arc::clone(&shared);
@@ -455,7 +275,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
     if let Some(pool) = pool {
         pool.shutdown();
     }
-    if let Some(plane) = &shared.detector {
+    if let Some(plane) = shared.shards.detector() {
         plane.stop();
     }
 }
@@ -531,7 +351,7 @@ fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Outbox>) {
                 0,
                 0,
             );
-            if let Some(plane) = &shared.detector {
+            if let Some(plane) = shared.shards.detector() {
                 report.suspicion = Some(plane.stats());
             }
             let micros = elapsed_micros(start);
@@ -556,7 +376,7 @@ fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Outbox>) {
             // The probe fan-out waits out a dead shard's timeout; inline
             // answers queued ahead of this one must not wait with it.
             out.flush();
-            let report = shared.cluster_health();
+            let report = shared.shards.cluster_health();
             let micros = elapsed_micros(start);
             shared.metrics.record(endpoint, micros, false);
             respond(
@@ -625,7 +445,8 @@ fn dispatch_forward(
         let shared = Arc::clone(shared);
         let out = Arc::clone(out);
         move || {
-            let response = match shared.forward(&kind, options) {
+            let (order, attempted) = shared.shards.order(&kind);
+            let response = match shared.shards.try_order(&kind, options, &order, attempted) {
                 Ok(mut resp) => {
                     resp.id = id;
                     shared
@@ -697,6 +518,7 @@ fn elapsed_micros(start: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::cluster::ClusterClient;
     use crate::server::{serve, ServeConfig};
     use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 

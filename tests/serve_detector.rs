@@ -201,6 +201,26 @@ fn suspicion_drives_failover_hedging_and_readmission_under_partition() {
         after_campaign.proactive_failovers >= proactive_before + victim_owned.len() as u64,
         "every victim-owned key must fail over proactively: {after_campaign:?}"
     );
+    // A batch asks the detector too: the victim's keys go straight to a
+    // replica instead of paying the victim's deadline first.
+    let batch_before = plane.stats().proactive_failovers;
+    let started = Instant::now();
+    let batch = cluster
+        .batch(victim_owned.iter().map(|k| (*k).clone()).collect())
+        .expect("a batch under suspicion must not fail");
+    for (kind, resp) in victim_owned.iter().zip(&batch) {
+        assert_ne!(
+            resp.shard,
+            Some(victim),
+            "a suspected shard must not answer"
+        );
+        audit.record_response(kind, resp, started.elapsed());
+    }
+    let after_batch = plane.stats();
+    assert!(
+        after_batch.proactive_failovers >= batch_before + victim_owned.len() as u64,
+        "every victim-owned key in a batch must fail over proactively: {after_batch:?}"
+    );
 
     // Exactly-once, summed across the fleet: the victim computed nothing
     // (it never received a request), each scenario landed exactly once
