@@ -221,8 +221,10 @@ impl fmt::Display for CellOutcome {
 
 /// Runs one cell: `spec.trials` seeded trials with randomized (≤ t) crash
 /// schedules, tallying UDC verdicts. Trials are fully determined by their
-/// seed and independent of one another, so they run in parallel (feature
-/// `parallel`); the tally is identical either way.
+/// seed and independent of one another, so they fan out through
+/// `ktudc_par::par_map` (feature `parallel`) — except inside a
+/// `ktudc_par::Pool` job, such as a served cell, where they run one after
+/// another on the job's worker. The tally is identical either way.
 ///
 /// # Panics
 ///
@@ -257,7 +259,7 @@ pub enum CellStatus {
 /// `Aborted` partial, so a shed cell still reports what it learned.
 ///
 /// Trials are horizon-bounded and short, so per-trial granularity keeps
-/// cancellation latency to one trial's worth of work per parallel worker.
+/// cancellation latency to one trial's worth of work per thread.
 #[must_use]
 pub fn run_cell_budgeted(spec: &CellSpec, budget: &Budget) -> CellStatus {
     let seeds: Vec<u64> = (0..spec.trials).collect();

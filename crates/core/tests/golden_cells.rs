@@ -8,15 +8,19 @@
 //! changed no event of any run. If a row fails, the generator's behaviour
 //! changed: find the regression, do not repin. CI runs this file under
 //! `KTUDC_THREADS=1` and `KTUDC_THREADS=4`, so the same constants also
-//! check that tallies and runs do not depend on the thread count.
+//! check that tallies and runs do not depend on the thread count, and a
+//! second arm computes the grid inside a `ktudc_par::Pool` job — where a
+//! served cell runs, with its trials inline — against the same constants.
 
 use ktudc_core::harness::{
     run_cell, simulate_trial, CellOutcome, CellSpec, FdChoice, ProtocolChoice,
 };
 use ktudc_model::hashing::StableHasher;
 use ktudc_model::ProcessId;
+use ktudc_par::Pool;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
+use std::sync::mpsc;
 
 const TRIALS: u64 = 4;
 const HORIZON: u64 = 240;
@@ -91,8 +95,9 @@ fn measure(spec: &CellSpec) -> Pin {
     )
 }
 
-#[test]
-fn cell_tallies_and_run_digests_are_pinned() {
+/// The grid, in `GOLDEN` order: `FDS` outermost, then `PROTOCOLS`, then
+/// `CHANNELS`.
+fn grid() -> Vec<(FdChoice, ProtocolChoice, Option<f64>)> {
     let mut cells = Vec::new();
     for fd in FDS {
         for protocol in PROTOCOLS {
@@ -102,9 +107,20 @@ fn cell_tallies_and_run_digests_are_pinned() {
         }
     }
     assert_eq!(cells.len(), GOLDEN.len(), "one pin per cell of the grid");
+    cells
+}
+
+fn measure_grid() -> Vec<Pin> {
+    grid()
+        .into_iter()
+        .map(|(fd, protocol, drop_prob)| measure(&spec(fd, protocol, drop_prob)))
+        .collect()
+}
+
+fn assert_pinned(got: &[Pin]) {
     let mut drift = String::new();
-    for (&(fd, protocol, drop_prob), &pin) in cells.iter().zip(GOLDEN) {
-        let got = measure(&spec(fd, protocol, drop_prob));
+    for ((fd, protocol, drop_prob), (&got, &pin)) in grid().into_iter().zip(got.iter().zip(GOLDEN))
+    {
         if got != pin {
             writeln!(
                 drift,
@@ -117,7 +133,25 @@ fn cell_tallies_and_run_digests_are_pinned() {
     assert!(drift.is_empty(), "generated runs drifted:\n{drift}");
 }
 
-/// In grid order: `FDS` outermost, then `PROTOCOLS`, then `CHANNELS`.
+#[test]
+fn cell_tallies_and_run_digests_are_pinned() {
+    assert_pinned(&measure_grid());
+}
+
+/// A served cell is computed inside a `Pool` job, where the fork/join
+/// helpers run its trials inline: the same constants must come out.
+#[test]
+fn cells_computed_in_a_pool_job_match_the_same_pins() {
+    let pool = Pool::new(2, 1);
+    let (tx, rx) = mpsc::channel();
+    pool.try_execute(move || tx.send(measure_grid()).unwrap())
+        .unwrap();
+    let got = rx.recv().expect("the pool job finished");
+    pool.shutdown();
+    assert_pinned(&got);
+}
+
+/// In grid order (see [`grid`]).
 #[rustfmt::skip]
 const GOLDEN: &[Pin] = &[
     (4, 0, 0, 48.0, 0xfe3277c3a257be08),

@@ -10,6 +10,14 @@
 //! flipping the `threads` feature (or setting `KTUDC_THREADS=1`) changes
 //! wall-clock time only, never output. With the `threads` feature off,
 //! every helper runs inline on the calling thread.
+//!
+//! One rule decides where a fork/join runs: **a job running on a [`Pool`]
+//! worker runs every helper inline, on its own thread.** The pool is
+//! already the parallelism its jobs get — a server's pool has one worker
+//! per core — so fanning a job out again would only oversubscribe the
+//! cores and pay a spawn and join per job. Callers outside a pool (the
+//! main thread of `explore`, `check`, `perf`) keep their fan-out. A panic
+//! on a fork/join thread reaches the caller with its original payload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +53,25 @@ pub fn thread_count() -> usize {
     })
 }
 
+/// Threads a fork/join over `len` items runs on: [`thread_count`], at
+/// most one per item — and just the caller's own on a [`Pool`] worker,
+/// whose pool is already all the parallelism its jobs get.
+fn fan_out(len: usize) -> usize {
+    if pool::ON_WORKER.get() {
+        1
+    } else {
+        thread_count().min(len)
+    }
+}
+
+/// Joins a fork/join thread; a panic in it goes on unwinding in the
+/// caller with its original payload.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
 /// Maps `f` over owned `items` in input order, splitting the work across
 /// threads when that is enabled and worthwhile.
 pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
@@ -53,7 +80,7 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let threads = thread_count().min(items.len());
+    let threads = fan_out(items.len());
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -74,10 +101,7 @@ where
             .into_iter()
             .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<U>>()))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ktudc-par worker panicked"))
-            .collect()
+        handles.into_iter().map(join).collect()
     });
     parts.into_iter().flatten().collect()
 }
@@ -116,7 +140,7 @@ where
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
-    let workers = thread_count().min(items.len());
+    let workers = fan_out(items.len());
     if workers <= 1 {
         let out: Vec<U> = items.into_iter().map(&f).collect();
         return (
@@ -172,10 +196,7 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ktudc-par worker panicked"))
-            .collect()
+        handles.into_iter().map(join).collect()
     });
     let mut indexed: Vec<(usize, U)> = parts.drain(..).flatten().collect();
     indexed.sort_by_key(|&(i, _)| i);
@@ -196,7 +217,7 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let threads = thread_count().min(items.len());
+    let threads = fan_out(items.len());
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -216,10 +237,7 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ktudc-par worker panicked"))
-            .collect()
+        handles.into_iter().map(join).collect()
     });
     parts.into_iter().flatten().collect()
 }
@@ -250,7 +268,7 @@ where
     }
     segments.push((cuts.len(), rest));
 
-    let threads = thread_count().min(segments.len());
+    let threads = fan_out(segments.len());
     if threads <= 1 {
         for (i, seg) in segments {
             f(i, seg);
@@ -273,15 +291,18 @@ where
                 }
             }));
         }
-        for h in handles {
-            h.join().expect("ktudc-par worker panicked");
-        }
+        handles.into_iter().for_each(join);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::any::Any;
+    use std::collections::HashSet;
+    use std::panic::catch_unwind;
+    use std::sync::{mpsc, Mutex};
+    use std::thread::ThreadId;
 
     #[test]
     fn par_map_preserves_order() {
@@ -362,5 +383,107 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
+    }
+
+    /// The distinct threads that `run`'s `record` callback was called on.
+    fn threads_used(run: impl FnOnce(&(dyn Fn() + Sync))) -> HashSet<ThreadId> {
+        let seen = Mutex::new(HashSet::new());
+        run(&|| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn pool_jobs_run_every_helper_inline() {
+        let pool = Pool::new(2, 4);
+        let (tx, rx) = mpsc::channel();
+        pool.try_execute(move || {
+            let items: Vec<u64> = (0..64).collect();
+            let cuts: Vec<usize> = (1..64).collect();
+            let mut stats = StealStats::default();
+            let used = [
+                threads_used(|record| {
+                    par_map(items.clone(), |_| record());
+                }),
+                threads_used(|record| {
+                    par_map_slice(&items, |_, _| record());
+                }),
+                threads_used(|record| {
+                    stats = par_map_steal(items.clone(), |_| record()).1;
+                }),
+                threads_used(|record| {
+                    par_segments_mut(&mut [0u8; 64], &cuts, |_, _| record());
+                }),
+            ];
+            tx.send((std::thread::current().id(), used, stats)).unwrap();
+        })
+        .unwrap();
+        let (job, used, stats) = rx.recv().expect("the job ran");
+        pool.shutdown();
+        let helpers = [
+            "par_map",
+            "par_map_slice",
+            "par_map_steal",
+            "par_segments_mut",
+        ];
+        for (name, used) in helpers.iter().zip(used) {
+            assert_eq!(used, HashSet::from([job]), "{name} left the job's thread");
+        }
+        assert_eq!(
+            stats,
+            StealStats {
+                workers: 1,
+                steals: 0
+            }
+        );
+    }
+
+    #[test]
+    fn the_main_thread_keeps_its_fan_out() {
+        if thread_count() < 2 {
+            return; // single-core host or `threads` off: nothing to fan out
+        }
+        let used = threads_used(|record| {
+            par_map((0..64).collect::<Vec<u64>>(), |_| record());
+        });
+        assert!(used.len() >= 2, "par_map must still fan out");
+    }
+
+    /// The message a panic payload carries, whether it was raised with a
+    /// literal or a formatted string.
+    fn message(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("<not a string>")
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let items: Vec<u64> = (0..64).collect();
+        let boom = |x: u64| {
+            if x == 7 {
+                panic!("boom {x}");
+            }
+            x
+        };
+        let payloads = [
+            catch_unwind(|| par_map(items.clone(), boom)).unwrap_err(),
+            catch_unwind(|| par_map_slice(&items, |_, &x| boom(x))).unwrap_err(),
+            catch_unwind(|| par_map_steal(items.clone(), boom)).unwrap_err(),
+            catch_unwind(|| {
+                let mut data = items.clone();
+                let cuts: Vec<usize> = (1..64).collect();
+                par_segments_mut(&mut data, &cuts, |_, seg| {
+                    boom(seg[0]);
+                });
+            })
+            .unwrap_err(),
+        ];
+        for payload in &payloads {
+            assert_eq!(message(payload.as_ref()), "boom 7");
+        }
     }
 }

@@ -33,10 +33,21 @@
 //! Unlike the `par_map` helpers, the pool always spawns real threads — it
 //! exists to serve concurrent callers, so it is independent of the
 //! `threads` feature (which only governs the fork/join helpers).
+//!
+//! A job is the unit of parallelism here: its worker marks itself as one,
+//! and the fork/join helpers called from a job run inline on that worker
+//! instead of spawning threads of their own (see the crate docs).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+thread_local! {
+    /// Whether this thread is a [`Pool`] worker, so that a fork/join
+    /// helper called here is inside a pool job; set once, as it starts.
+    pub(crate) static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// A job: any one-shot closure.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -243,6 +254,7 @@ impl Drop for Pool {
 }
 
 fn worker_loop(shared: &PoolShared, me: usize) {
+    ON_WORKER.set(true);
     loop {
         let job = {
             let mut state = shared.state.lock().expect("pool lock poisoned");

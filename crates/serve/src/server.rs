@@ -1182,7 +1182,7 @@ fn compute_budgeted(kind: &RequestKind, budget: &Budget) -> Result<ComputeStatus
         Ok(result) => result,
         Err(panic) => Err(WireError {
             code: ErrorCode::Internal,
-            message: format!("computation panicked: {}", panic_message(&panic)),
+            message: format!("computation panicked: {}", panic_message(panic.as_ref())),
             retry_after_ms: 0,
         }),
     }

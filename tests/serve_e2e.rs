@@ -277,6 +277,17 @@ fn malformed_and_mismatched_requests_get_typed_errors() {
         "{response:?}"
     );
 
+    // A cell the harness refuses (cycling needs t < n/2) over several
+    // trials: Internal, carrying the harness's own panic message.
+    let refused =
+        CellSpec::new(4, 2, None, FdChoice::Cycling, ProtocolChoice::Generalized).trials(4);
+    let response = client.request(RequestKind::Cell(refused)).expect("request");
+    assert!(
+        matches!(&response.result, ResponseKind::Error(e)
+            if e.code == ErrorCode::Internal && e.message.contains("t < n/2")),
+        "{response:?}"
+    );
+
     client.shutdown_server().expect("shutdown ack");
     handle.join();
 }
