@@ -3,6 +3,10 @@
 //! Prints and parses JSON text over the `serde` stand-in's [`Value`] tree.
 //! Supports the full JSON grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null), which is a superset of what ktudc emits.
+//!
+//! [`object_fields`] reads the top-level fields of an object as borrowed
+//! byte spans, without building a tree: the same parser runs in a mode
+//! that validates every value and keeps none of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,12 +66,77 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
         pos: 0,
     };
     p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing input at byte {}", p.pos)));
-    }
+    let v = p.parse_value::<true>()?;
+    p.finish()?;
     Ok(T::from_value(&v)?)
+}
+
+/// One field of a top-level object, as [`object_fields`] reports it.
+#[derive(Clone, Copy, Debug)]
+pub struct Field<'a> {
+    /// The key as written, quotes and escapes included.
+    key: &'a str,
+    /// The value's exact text, without the whitespace around it.
+    value: &'a str,
+}
+
+impl<'a> Field<'a> {
+    /// Whether the key, unescaped, is `name`.
+    #[must_use]
+    pub fn key_is(&self, name: &str) -> bool {
+        let raw = &self.key[1..self.key.len() - 1];
+        if !raw.contains('\\') {
+            return raw == name;
+        }
+        let mut p = Parser {
+            bytes: self.key.as_bytes(),
+            pos: 0,
+        };
+        p.parse_string::<true>().is_ok_and(|key| key == name)
+    }
+
+    /// The value's exact text: `from_str` on it decodes what `from_str`
+    /// on the whole object would have found under this key.
+    #[must_use]
+    pub fn value(&self) -> &'a str {
+        self.value
+    }
+}
+
+/// Scans `text` as one JSON object and reports each of its top-level
+/// fields to `visit`, in order, duplicates included, without building a
+/// tree or allocating.
+///
+/// The whole text is validated with the grammar [`from_str`] uses, so
+/// this succeeds exactly when `from_str::<Value>(text)` returns an
+/// object. `visit` may run before a later syntax error is found: act on
+/// the fields only once this returns `Ok`.
+///
+/// # Errors
+///
+/// Returns [`Error`] on malformed JSON or when the text is not an object.
+pub fn object_fields<'a>(text: &'a str, mut visit: impl FnMut(Field<'a>)) -> Result<(), Error> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    p.object(|p| {
+        let start = p.pos;
+        p.parse_string::<false>()?;
+        let key = &text[start..p.pos];
+        p.skip_ws();
+        p.expect(b':')?;
+        p.skip_ws();
+        let start = p.pos;
+        p.parse_value::<false>()?;
+        visit(Field {
+            key,
+            value: &text[start..p.pos],
+        });
+        Ok(())
+    })?;
+    p.finish()
 }
 
 // ---------------------------------------------------------------- printing
@@ -185,6 +254,10 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---------------------------------------------------------------- parsing
 
+/// A recursive-descent parser. Every `parse_*` method takes `KEEP`: with
+/// `true` it builds the [`Value`]; with `false` it checks the same grammar
+/// and returns placeholders (`Null`, empty strings and containers), so a
+/// skipped value is accepted or rejected exactly as a parsed one.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -198,6 +271,16 @@ impl Parser<'_> {
             } else {
                 break;
             }
+        }
+    }
+
+    /// Accepts trailing whitespace, then the end of the text.
+    fn finish(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(Error(format!("trailing input at byte {}", self.pos)))
         }
     }
 
@@ -226,15 +309,15 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    fn parse_value<const KEEP: bool>(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'"') => Ok(Value::Str(self.parse_string::<KEEP>()?)),
+            Some(b'[') => self.parse_array::<KEEP>(),
+            Some(b'{') => self.parse_object::<KEEP>(),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -244,7 +327,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
+    fn parse_array<const KEEP: bool>(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -253,7 +336,10 @@ impl Parser<'_> {
             return Ok(Value::Array(items));
         }
         loop {
-            items.push(self.parse_value()?);
+            let item = self.parse_value::<KEEP>()?;
+            if KEEP {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -268,21 +354,36 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
+    fn parse_object<const KEEP: bool>(&mut self) -> Result<Value, Error> {
         let mut fields = Vec::new();
+        self.object(|p| {
+            let key = p.parse_string::<KEEP>()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            let value = p.parse_value::<KEEP>()?;
+            if KEEP {
+                fields.push((key, value));
+            }
+            Ok(())
+        })?;
+        Ok(Value::Object(fields))
+    }
+
+    /// The object grammar: `{`, then `field`s separated by `,`, then `}`.
+    /// `field` is called at each key and must consume `"key": value`.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
+            field(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -290,14 +391,14 @@ impl Parser<'_> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(fields));
+                    return Ok(());
                 }
                 _ => return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos))),
             }
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    fn parse_string<const KEEP: bool>(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
@@ -309,10 +410,11 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error("invalid utf-8 in string".into()))?,
-            );
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| Error("invalid utf-8 in string".into()))?;
+            if KEEP {
+                s.push_str(run);
+            }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -320,49 +422,49 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error("unterminated escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{08}'),
-                        b'f' => s.push('\u{0C}'),
-                        b'u' => {
-                            let cp = self.parse_hex4()?;
-                            // Surrogate pair handling.
-                            if (0xD800..0xDC00).contains(&cp) {
-                                if !self.eat_literal("\\u") {
-                                    return Err(Error("lone high surrogate".into()));
-                                }
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error("invalid low surrogate".into()));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                s.push(
-                                    char::from_u32(c)
-                                        .ok_or_else(|| Error("invalid surrogate pair".into()))?,
-                                );
-                            } else {
-                                s.push(
-                                    char::from_u32(cp)
-                                        .ok_or_else(|| Error("invalid codepoint".into()))?,
-                                );
-                            }
-                        }
-                        other => {
-                            return Err(Error(format!("bad escape `\\{}`", other as char)));
-                        }
+                    let c = self.parse_escape()?;
+                    if KEEP {
+                        s.push(c);
                     }
                 }
                 _ => return Err(Error("unterminated string".into())),
             }
+        }
+    }
+
+    /// The character an escape stands for, read from just after its backslash.
+    fn parse_escape(&mut self) -> Result<char, Error> {
+        let esc = self
+            .peek()
+            .ok_or_else(|| Error("unterminated escape".into()))?;
+        self.pos += 1;
+        match esc {
+            b'"' => Ok('"'),
+            b'\\' => Ok('\\'),
+            b'/' => Ok('/'),
+            b'n' => Ok('\n'),
+            b'r' => Ok('\r'),
+            b't' => Ok('\t'),
+            b'b' => Ok('\u{08}'),
+            b'f' => Ok('\u{0C}'),
+            b'u' => {
+                let cp = self.parse_hex4()?;
+                // Surrogate pair handling.
+                if (0xD800..0xDC00).contains(&cp) {
+                    if !self.eat_literal("\\u") {
+                        return Err(Error("lone high surrogate".into()));
+                    }
+                    let lo = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(Error("invalid low surrogate".into()));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(c).ok_or_else(|| Error("invalid surrogate pair".into()))
+                } else {
+                    char::from_u32(cp).ok_or_else(|| Error("invalid codepoint".into()))
+                }
+            }
+            other => Err(Error(format!("bad escape `\\{}`", other as char))),
         }
     }
 
@@ -462,6 +564,68 @@ mod tests {
     fn unicode_escapes() {
         let s: String = from_str(r#""A😀""#).unwrap();
         assert_eq!(s, "A\u{1F600}");
+    }
+
+    /// `(key, value span)` of every top-level field, keys unescaped.
+    fn fields(text: &str) -> Result<Vec<(String, &str)>, Error> {
+        let mut out = Vec::new();
+        object_fields(text, |f| {
+            let key: String = from_str(f.key).expect("a scanned key is a string");
+            assert!(f.key_is(&key));
+            out.push((key, f.value()));
+        })?;
+        Ok(out)
+    }
+
+    #[test]
+    fn object_fields_are_exact_value_spans() {
+        let text =
+            " { \"a\" :\t[1, {\"x\": \"}\"}] ,\"b\":-2.5e3,\"a\":null,\"\\u0063\":\"q\\\"\" }\n";
+        let got = fields(text).unwrap();
+        assert_eq!(
+            got,
+            vec![
+                ("a".to_string(), "[1, {\"x\": \"}\"}]"),
+                ("b".to_string(), "-2.5e3"),
+                ("a".to_string(), "null"),
+                ("c".to_string(), "\"q\\\"\""),
+            ]
+        );
+        // Each span decodes to what the tree parse holds at that key.
+        let tree: Value = from_str(text).unwrap();
+        let Value::Object(tree) = tree else {
+            panic!("an object")
+        };
+        for ((key, span), (tree_key, tree_value)) in got.iter().zip(&tree) {
+            assert_eq!(key, tree_key);
+            assert_eq!(&from_str::<Value>(span).unwrap(), tree_value);
+        }
+        assert_eq!(fields("{}").unwrap(), vec![]);
+    }
+
+    #[test]
+    fn object_fields_accepts_exactly_the_objects_from_str_accepts() {
+        for text in [
+            "{\"a\":1}",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{\"a\":01}",
+            "{\"a\":1-}",
+            "{\"a\":\"\\ud800\"}",
+            "{\"a\":\"\\x\"}",
+            "{\"a\":[1,]}",
+            "{\"a\":nul}",
+            "{\"a\":1} x",
+            "{\"a\":1}}",
+            "{\"a\":{\"b\":[true,false,null]}}",
+            "[1]",
+            "\"a\"",
+            "",
+            "{",
+        ] {
+            let tree_is_object = matches!(from_str::<Value>(text), Ok(Value::Object(_)));
+            assert_eq!(fields(text).is_ok(), tree_is_object, "{text:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Consensus specification checkers.
 //!
-//! Decisions are `do_p(a)` events whose [`ActionId::seq`] carries the
+//! Decisions are `do_p(a)` events whose [`ActionId::seq`](ktudc_model::ActionId::seq) carries the
 //! decided value. The checker evaluates the classic four properties, with
 //! termination under the usual finite-horizon reading:
 //!

@@ -1,7 +1,7 @@
 //! The Aguilera–Toueg–Deianov detector class (§5 of the paper).
 //!
 //! In response to the conference version of Halpern–Ricciardi, Aguilera,
-//! Toueg & Deianov [ATD99] characterized the *weakest* failure detector for
+//! Toueg & Deianov \[ATD99\] characterized the *weakest* failure detector for
 //! URB/UDC: strong completeness plus an accuracy **even weaker than weak
 //! accuracy** — at every time, *some* correct process is not currently
 //! suspected, but it may be a *different* correct process at different

@@ -6,27 +6,27 @@
 //!
 //! * [`oracle`] — concrete per-process oracles pluggable into the
 //!   `ktudc-sim` scheduler:
-//!   [`PerfectOracle`](oracle::PerfectOracle) (strong completeness + strong
-//!   accuracy), [`StrongOracle`](oracle::StrongOracle) (strong
-//!   completeness + weak accuracy), [`WeakOracle`](oracle::WeakOracle)
+//!   [`PerfectOracle`] (strong completeness + strong
+//!   accuracy), [`StrongOracle`] (strong
+//!   completeness + weak accuracy), [`WeakOracle`]
 //!   (weak completeness + weak accuracy), the impermanent variants
-//!   ([`ImpermanentStrongOracle`](oracle::ImpermanentStrongOracle),
-//!   [`ImpermanentWeakOracle`](oracle::ImpermanentWeakOracle)) that may
+//!   ([`ImpermanentStrongOracle`],
+//!   [`ImpermanentWeakOracle`]) that may
 //!   *retract* suspicions, the eventually-accurate
-//!   [`EventuallyStrongOracle`](oracle::EventuallyStrongOracle) (◇S, for the
+//!   [`EventuallyStrongOracle`] (◇S, for the
 //!   consensus baselines), the generalized
-//!   [`TUsefulOracle`](oracle::TUsefulOracle) of §4, and the oracle-free
-//!   [`CyclingSubsetOracle`](oracle::CyclingSubsetOracle) that realizes the
+//!   [`TUsefulOracle`] of §4, and the oracle-free
+//!   [`CyclingSubsetOracle`] that realizes the
 //!   paper's observation that a t-useful detector is *trivially*
 //!   constructible when `t < n/2`.
 //! * [`props`] — checkers for every accuracy/completeness property named in
 //!   the paper, evaluated on finished runs with explicit finite-horizon
 //!   readings.
 //! * [`perturb`] — contract-*violating* wrappers for fault injection
-//!   ([`FalseSuspector`](perturb::FalseSuspector),
-//!   [`SuspicionSuppressor`](perturb::SuspicionSuppressor),
-//!   [`LateRetractor`](perturb::LateRetractor),
-//!   [`MinFaultyInflater`](perturb::MinFaultyInflater)): each breaks
+//!   ([`FalseSuspector`],
+//!   [`SuspicionSuppressor`],
+//!   [`LateRetractor`],
+//!   [`MinFaultyInflater`]): each breaks
 //!   exactly one class property on schedule, so every checker in
 //!   [`props`] is regression-tested against its own violation.
 //! * [`convert`] — the run-to-run conversions: weak → strong completeness

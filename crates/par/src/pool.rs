@@ -155,7 +155,8 @@ impl Pool {
     }
 
     /// Enqueues a job, failing fast when the queues are at total capacity
-    /// or the pool is closed.
+    /// or the pool is closed. A job that panics ends there: its worker
+    /// lives on and the job counts as finished.
     ///
     /// # Errors
     ///
@@ -287,7 +288,10 @@ fn worker_loop(shared: &PoolShared, me: usize) {
                 state = shared.signal.wait(state).expect("pool lock poisoned");
             }
         };
-        job();
+        // A panicking job ends itself, not its worker: the panic is
+        // reported by the hook and the worker goes on serving, so
+        // `in_flight` drains and `shutdown` still joins a live thread.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
         let mut state = shared.state.lock().expect("pool lock poisoned");
         state.in_flight -= 1;
         drop(state);

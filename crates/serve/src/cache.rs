@@ -10,6 +10,16 @@
 //! collision degrades to a miss instead of serving the wrong scenario's
 //! outcome.
 //!
+//! The server probes with the request body's bytes as the client sent
+//! them, before decoding anything
+//! ([`RequestLine`](crate::wire::RequestLine)): clients encode with
+//! `serde_json::to_string`, so those bytes are the canonical string. Only
+//! a miss decodes the body, re-encodes it canonically and probes again if
+//! the two differ. A raw-bytes hit is still exact: it needs byte equality
+//! with a stored key, every key is `to_string(k)` for a decoded `k`, and
+//! the canonical form is a fixed point of decode then encode, so the
+//! bytes decode to exactly the `k` whose outcome is stored.
+//!
 //! Eviction is least-recently-used under a logical clock bumped on every
 //! access. The victim scan is linear in the entry count; capacities here
 //! are hundreds of entries guarding seconds-long computations, so the

@@ -25,9 +25,9 @@
 //! suspicion therefore costs latency (a detour through a replica), never
 //! correctness — which is exactly the accuracy/completeness trade the
 //! paper's detector classes price out, and why
-//! `perf --fd-live` can honestly measure which [`EmpiricalClass`]
-//! (`ktudc_fd::EmpiricalClass`) the live plane achieves per wire regime
-//! without risking the serve plane's zero-wrong-answers contract.
+//! `perf --fd-live` can honestly measure which
+//! [`EmpiricalClass`](ktudc_fd::EmpiricalClass) the live plane achieves
+//! per wire regime without risking the serve plane's zero-wrong-answers contract.
 //!
 //! The plane is shared by the router (its `Stats` report grows a
 //! [`SuspicionStats`] block, its `ClusterHealth` rows grow φ/suspected/

@@ -96,7 +96,7 @@ pub use server::{serve, RecoveryReport, ServeConfig, ServerFaults, ServerHandle}
 pub use supervisor::{supervise, CrashLoopBackoff, SupervisorPolicy, SupervisorReport};
 pub use wire::{
     AbortedOutcome, CheckOutcome, CheckSpec, ClusterHealthReport, EncodedResult, Envelope,
-    ErrorCode, HealthReport, PartialCell, PartialOutcome, Request, RequestKind, RequestOptions,
-    Response, ResponseKind, ShardHealth, WireError, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION,
-    SCHEMA_VERSION,
+    ErrorCode, HealthReport, LineError, PartialCell, PartialOutcome, Request, RequestKind,
+    RequestLine, RequestOptions, Response, ResponseKind, ShardHealth, WireError,
+    MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };

@@ -7,7 +7,7 @@
 //! the per-worker caches partition the key space with no duplicate
 //! compute, and a warm sweep re-hits the same shards it warmed.
 //!
-//! The ring places [`VNODES`] virtual points per shard on a `u64` circle
+//! The ring places `VNODES` (64) virtual points per shard on a `u64` circle
 //! and assigns a key to the shard owning the first point at or after it
 //! (wrapping). Virtual points give two properties a plain
 //! `key % shards` would not have:

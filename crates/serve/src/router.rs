@@ -48,8 +48,8 @@ use crate::failover::Shards;
 use crate::metrics::{Metrics, PoolCounters};
 use crate::server::ServerFaults;
 use crate::wire::{
-    encode_result, ErrorCode, HealthReport, Request, RequestKind, RequestOptions, Response,
-    ResponseKind, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    encode_result, ErrorCode, HealthReport, LineError, RequestKind, RequestLine, RequestOptions,
+    Response, ResponseKind, MAX_REQUEST_LINE_BYTES, SCHEMA_VERSION,
 };
 use ktudc_par::{Pool, SubmitError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -298,38 +298,22 @@ fn connection_loop(shared: &Arc<RouterShared>, stream: TcpStream) {
 }
 
 fn handle_line(shared: &Arc<RouterShared>, line: &str, out: &Arc<Outbox>) {
-    let request: Request = match serde_json::from_str(line) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.metrics.record_malformed();
-            respond(
-                out,
-                SCHEMA_VERSION,
-                Response::error(0, ErrorCode::BadRequest, e.to_string()),
-            );
+    // The ring is keyed by the canonical body, so the router always
+    // decodes the body: it has no cache to answer from the bytes.
+    let (request, kind) = match RequestLine::parse(line).and_then(|r| Ok((r, r.decode_kind()?))) {
+        Ok(decoded) => decoded,
+        Err(refusal) => {
+            if matches!(refusal, LineError::Malformed(_)) {
+                shared.metrics.record_malformed();
+            }
+            respond(out, SCHEMA_VERSION, refusal.response("router"));
             return;
         }
     };
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&request.schema_version) {
-        respond(
-            out,
-            SCHEMA_VERSION,
-            Response::error(
-                request.id,
-                ErrorCode::UnsupportedVersion,
-                format!(
-                    "request schema_version {} but this router speaks \
-                     {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}",
-                    request.schema_version
-                ),
-            ),
-        );
-        return;
-    }
     let version = request.schema_version;
-    let endpoint = request.kind.endpoint();
+    let endpoint = kind.endpoint();
     let start = Instant::now();
-    match request.kind {
+    match kind {
         RequestKind::Stats => {
             let (queue_depth, steals, deepest_queue) = shared
                 .pool

@@ -34,9 +34,9 @@ use crate::cache::LruCache;
 use crate::conn::{self, Outbox};
 use crate::metrics::{Metrics, PoolCounters};
 use crate::wire::{
-    encode_result, AbortedOutcome, CheckOutcome, ClusterHealthReport, Envelope, ErrorCode,
-    HealthReport, PartialCell, PartialOutcome, Request, RequestKind, RequestOptions, Response,
-    ResponseKind, ShardHealth, WireError, MAX_REQUEST_LINE_BYTES, MIN_SCHEMA_VERSION,
+    encode_result, AbortedOutcome, CheckOutcome, ClusterHealthReport, EncodedResult, Envelope,
+    ErrorCode, HealthReport, LineError, PartialCell, PartialOutcome, RequestKind, RequestLine,
+    RequestOptions, Response, ResponseKind, ShardHealth, WireError, MAX_REQUEST_LINE_BYTES,
     SCHEMA_VERSION,
 };
 use ktudc_core::harness::{run_cell_budgeted, CellStatus};
@@ -543,41 +543,30 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
 }
 
 fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Outbox>) {
-    let request: Request = match serde_json::from_str(line) {
-        Ok(r) => r,
-        Err(e) => {
-            // No recoverable id: 0 marks an unattributable failure.
-            shared.metrics.record_malformed();
-            respond(
-                shared,
-                out,
-                SCHEMA_VERSION,
-                Response::error(0, ErrorCode::BadRequest, e.to_string()),
-            );
+    let request = match RequestLine::parse(line) {
+        Ok(request) => request,
+        Err(refusal) => {
+            refuse(shared, out, &refusal);
             return;
         }
     };
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&request.schema_version) {
-        respond(
-            shared,
-            out,
-            SCHEMA_VERSION,
-            Response::error(
-                request.id,
-                ErrorCode::UnsupportedVersion,
-                format!(
-                    "request schema_version {} but this server speaks \
-                     {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}",
-                    request.schema_version
-                ),
-            ),
-        );
+    let start = Instant::now();
+    // Only the compute endpoints carry a body; every other kind is a
+    // bare string, decoded here.
+    if request.kind.starts_with('{') {
+        dispatch_compute(shared, &request, start, out);
         return;
     }
+    let kind = match request.decode_kind() {
+        Ok(kind) => kind,
+        Err(refusal) => {
+            refuse(shared, out, &refusal);
+            return;
+        }
+    };
     let version = request.schema_version;
-    let endpoint = request.kind.endpoint();
-    let start = Instant::now();
-    match request.kind {
+    let endpoint = kind.endpoint();
+    match kind {
         RequestKind::Stats => {
             let (cache_entries, cache_capacity) = {
                 let cache = shared.cache.lock().expect("cache lock poisoned");
@@ -666,21 +655,20 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Outbox>) {
                 Response::new(request.id, false, micros, ResponseKind::Shutdown),
             );
         }
-        kind @ (RequestKind::Cell(_)
+        // Not reached: a body-carrying kind is an object, routed above.
+        RequestKind::Cell(_)
         | RequestKind::Check(_)
         | RequestKind::Explore(_)
-        | RequestKind::Classify(_)) => {
-            dispatch_compute(
-                shared,
-                request.id,
-                version,
-                kind,
-                request.options,
-                start,
-                out,
-            );
-        }
+        | RequestKind::Classify(_) => dispatch_compute(shared, &request, start, out),
     }
+}
+
+/// Answers a line refused before anything ran.
+fn refuse(shared: &Shared, out: &Outbox, refusal: &LineError) {
+    if matches!(refusal, LineError::Malformed(_)) {
+        shared.metrics.record_malformed();
+    }
+    respond(shared, out, SCHEMA_VERSION, refusal.response("server"));
 }
 
 /// Cache-or-queue path for the compute endpoints, with single-flight
@@ -691,48 +679,68 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &Arc<Outbox>) {
 /// original job's waiter list (it is still running), or starts the one
 /// and only computation — in every case the spec is computed exactly
 /// once and every requester gets the same payload.
+///
+/// A hit is found from the body's bytes as sent, before anything is
+/// decoded: the cache is keyed by canonical bodies, and clients send
+/// canonical bodies. Only a miss decodes the body and re-encodes it
+/// canonically, probing once more if the client's spelling differed.
 fn dispatch_compute(
     shared: &Arc<Shared>,
-    id: u64,
-    version: u32,
-    kind: RequestKind,
-    options: RequestOptions,
+    request: &RequestLine<'_>,
     start: Instant,
     out: &Arc<Outbox>,
 ) {
-    let endpoint = kind.endpoint();
-    let Ok(canon) = serde_json::to_string(&kind) else {
-        respond(
+    let (id, version, options) = (request.id, request.schema_version, request.options);
+    let probe = |body: &str| shared.cache.lock().expect("cache lock poisoned").get(body);
+    let answer_hit = |endpoint, hit: Arc<EncodedResult>| {
+        let micros = elapsed_micros(start);
+        shared.metrics.record(endpoint, micros, true);
+        send_line(
             shared,
             out,
             version,
-            Response::error(id, ErrorCode::Internal, "request body is unencodable"),
+            Envelope::new(id, true, micros),
+            hit.json(),
         );
-        shared.metrics.record_error(endpoint);
-        return;
     };
     // Consult the cache and the in-flight table under the `pending` lock
     // (order pending → cache, matching the completion path) so a landing
     // job cannot slip between the cache miss and the waiter registration.
-    {
+    let (kind, endpoint, canon) = {
         let mut pending = shared.pending.lock().expect("pending lock poisoned");
-        let hit = shared
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .get(&canon);
-        if let Some(hit) = hit {
+        if let Some(endpoint) = request.canonical_endpoint() {
+            if let Some(hit) = probe(request.kind) {
+                drop(pending);
+                answer_hit(endpoint, hit);
+                return;
+            }
+        }
+        let kind = match request.decode_kind() {
+            Ok(kind) => kind,
+            Err(refusal) => {
+                drop(pending);
+                refuse(shared, out, &refusal);
+                return;
+            }
+        };
+        let endpoint = kind.endpoint();
+        let Ok(canon) = serde_json::to_string(&kind) else {
             drop(pending);
-            let micros = elapsed_micros(start);
-            shared.metrics.record(endpoint, micros, true);
-            send_line(
+            respond(
                 shared,
                 out,
                 version,
-                Envelope::new(id, true, micros),
-                hit.json(),
+                Response::error(id, ErrorCode::Internal, "request body is unencodable"),
             );
+            shared.metrics.record_error(endpoint);
             return;
+        };
+        if canon != request.kind {
+            if let Some(hit) = probe(&canon) {
+                drop(pending);
+                answer_hit(endpoint, hit);
+                return;
+            }
         }
         // Deadline-carrying requests skip the single-flight table: their
         // results are deadline-truncated, so they must neither be shared
@@ -802,7 +810,8 @@ fn dispatch_compute(
         if options.deadline_ms.is_none() {
             pending.insert(canon.clone(), Vec::new());
         }
-    }
+        (kind, endpoint, canon)
+    };
     if options.deadline_ms.is_some() {
         dispatch_deadline(shared, id, version, kind, options, start, out);
         return;

@@ -177,6 +177,158 @@ impl Deserialize for Request {
     }
 }
 
+/// A request line's envelope, decoded without decoding its body.
+///
+/// [`RequestLine::parse`] accepts exactly the lines that decode as a
+/// [`Request`] in a supported schema version, except that it leaves
+/// `kind` as text: [`RequestLine::decode_kind`] finishes the decode. The
+/// server probes its cache with that text first (a client writing with
+/// `serde_json::to_string` sends the canonical body the cache is keyed
+/// by), so a cache hit never builds a value tree; see [`crate::cache`].
+#[derive(Clone, Copy, Debug)]
+pub struct RequestLine<'a> {
+    /// Within [`MIN_SCHEMA_VERSION`]..=[`SCHEMA_VERSION`].
+    pub schema_version: u32,
+    /// Client-chosen correlation id, echoed in the [`Response`].
+    pub id: u64,
+    /// Deadline/priority/partial-acceptance options.
+    pub options: RequestOptions,
+    /// The exact text of the `kind` value, without surrounding
+    /// whitespace: valid JSON, but not yet known to be a [`RequestKind`].
+    pub kind: &'a str,
+}
+
+/// Why a request line is refused before anything runs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LineError {
+    /// The line does not decode as a [`Request`]: answered with
+    /// [`ErrorCode::BadRequest`] under id 0, since no id is trustworthy.
+    Malformed(String),
+    /// A well-formed request in a schema version outside
+    /// [`MIN_SCHEMA_VERSION`]..=[`SCHEMA_VERSION`]: answered with
+    /// [`ErrorCode::UnsupportedVersion`] under the request's id.
+    UnsupportedVersion {
+        /// The request's id.
+        id: u64,
+        /// The version it spoke.
+        version: u32,
+    },
+}
+
+impl LineError {
+    /// The typed refusal, from a peer that calls itself `speaker`.
+    #[must_use]
+    pub fn response(&self, speaker: &str) -> Response {
+        match self {
+            LineError::Malformed(message) => Response::error(0, ErrorCode::BadRequest, message),
+            LineError::UnsupportedVersion { id, version } => Response::error(
+                *id,
+                ErrorCode::UnsupportedVersion,
+                format!(
+                    "request schema_version {version} but this {speaker} speaks \
+                     {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
+                ),
+            ),
+        }
+    }
+}
+
+impl From<serde_json::Error> for LineError {
+    fn from(e: serde_json::Error) -> Self {
+        LineError::Malformed(e.to_string())
+    }
+}
+
+/// The envelope keys [`RequestLine::parse`] reads; any other key is
+/// validated and ignored, as [`Request`]'s decoder ignores it.
+const ENVELOPE_KEYS: [&str; 6] = [
+    "schema_version",
+    "id",
+    "kind",
+    "deadline_ms",
+    "priority",
+    "accept_partial",
+];
+
+impl<'a> RequestLine<'a> {
+    /// Decodes the envelope of `line` in one pass over its bytes; values
+    /// are decoded with the same codecs as [`Request`]'s, from their
+    /// spans. A repeated key counts at its first occurrence, as in the
+    /// [`Request`] decoder.
+    ///
+    /// # Errors
+    ///
+    /// [`LineError::Malformed`] when `serde_json::from_str::<Request>`
+    /// would fail for a reason outside `kind`;
+    /// [`LineError::UnsupportedVersion`] when it would succeed but the
+    /// version is out of range.
+    pub fn parse(line: &'a str) -> Result<Self, LineError> {
+        let mut spans: [Option<&'a str>; ENVELOPE_KEYS.len()] = [None; ENVELOPE_KEYS.len()];
+        serde_json::object_fields(line, |field| {
+            if let Some(i) = ENVELOPE_KEYS.iter().position(|key| field.key_is(key)) {
+                spans[i].get_or_insert(field.value());
+            }
+        })?;
+        let [schema_version, id, kind, deadline_ms, priority, accept_partial] = spans;
+        let required = |span: Option<&'a str>, name: &str| {
+            span.ok_or_else(|| {
+                serde_json::Error::from(serde::DeError(format!("request is missing `{name}`")))
+            })
+        };
+        let schema_version: u32 =
+            serde_json::from_str(required(schema_version, "schema_version")?)?;
+        let id: u64 = serde_json::from_str(required(id, "id")?)?;
+        let kind = required(kind, "kind")?;
+        let options = RequestOptions {
+            deadline_ms: deadline_ms.map_or(Ok(None), serde_json::from_str)?,
+            priority: priority.map_or(Ok(0), serde_json::from_str)?,
+            accept_partial: accept_partial.map_or(Ok(false), serde_json::from_str)?,
+        };
+        let line = RequestLine {
+            schema_version,
+            id,
+            options,
+            kind,
+        };
+        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema_version) {
+            // A body that does not decode makes the line malformed before
+            // its version is looked at, as with `Request`.
+            line.decode_kind()?;
+            return Err(LineError::UnsupportedVersion {
+                id,
+                version: schema_version,
+            });
+        }
+        Ok(line)
+    }
+
+    /// Decodes the body.
+    ///
+    /// # Errors
+    ///
+    /// [`LineError::Malformed`] when `kind` is not a [`RequestKind`]: the
+    /// whole line is then one the [`Request`] decoder rejects.
+    pub fn decode_kind(&self) -> Result<RequestKind, LineError> {
+        Ok(serde_json::from_str(self.kind)?)
+    }
+
+    /// The compute endpoint of a canonically written body, read from its
+    /// variant tag (`{"Cell":` and so on), without decoding it. `None`
+    /// for any other body, and every body the scenario cache holds has
+    /// one: only such a body can be a cache hit.
+    #[must_use]
+    pub fn canonical_endpoint(&self) -> Option<Endpoint> {
+        let (tag, _) = self.kind.strip_prefix("{\"")?.split_once("\":")?;
+        match tag {
+            "Cell" => Some(Endpoint::Cell),
+            "Check" => Some(Endpoint::Check),
+            "Explore" => Some(Endpoint::Explore),
+            "Classify" => Some(Endpoint::Classify),
+            _ => None,
+        }
+    }
+}
+
 /// The service endpoints.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum RequestKind {

@@ -23,7 +23,7 @@
 //!    the standard deployment where failure detection runs beside the
 //!    application, not inside its event loop.
 //! 2. **Run shape is preserved.** Only the periodic `suspect_p(·)` reports
-//!    enter the [`Run`](ktudc_model::Run) — at the same staggered
+//!    enter the [`Run`] — at the same staggered
 //!    `fd_period` cadence, consuming the same event slot, as oracle
 //!    reports. The property checkers of `ktudc-fd` therefore classify a
 //!    derived detector and a ground-truth oracle on identical evidence.

@@ -1,6 +1,6 @@
 //! Serializable exploration scenarios — the wire form of the explorer.
 //!
-//! [`ExploreConfig`](crate::ExploreConfig) cannot travel over a wire: its
+//! [`ExploreConfig`] cannot travel over a wire: its
 //! failure-detector rule is a bare function pointer and its protocol is a
 //! type parameter. [`ExploreSpec`] closes both over a small named
 //! vocabulary — the deterministic FD rules ([`FdRule`]) and the explorer
@@ -12,7 +12,7 @@
 //! counts plus a [`system_digest`]: a stable 64-bit fingerprint of the
 //! entire run set (every event of every process of every run, in order,
 //! hashed with the platform-pinned
-//! [`StableHasher`](ktudc_model::hashing::StableHasher)). Two explorations
+//! [`StableHasher`]). Two explorations
 //! agree on the digest iff they produced the identical system, so clients
 //! can certify a remote exploration against a local one without moving the
 //! runs.

@@ -291,3 +291,78 @@ fn malformed_and_mismatched_requests_get_typed_errors() {
     client.shutdown_server().expect("shutdown ack");
     handle.join();
 }
+
+/// The `result` bytes of a response line, exactly as the server wrote them.
+fn result_bytes(line: &str) -> String {
+    let mut result = None;
+    serde_json::object_fields(line, |field| {
+        if field.key_is("result") {
+            result = Some(field.value().to_string());
+        }
+    })
+    .expect("a response line is an object");
+    result.expect("a response line carries a result")
+}
+
+#[test]
+fn other_spellings_of_a_cached_spec_are_cache_hits() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (handle, addr) = server(1, 4, 16);
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut exchange = |line: String| {
+        stream.write_all(line.as_bytes()).expect("write");
+        stream.write_all(b"\n").expect("write");
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("read");
+        let response: Response = serde_json::from_str(answer.trim_end()).expect("parse");
+        (response, result_bytes(answer.trim_end()))
+    };
+
+    let kind = RequestKind::Cell(cell(7));
+    let body = serde_json::to_string(&kind).expect("encode");
+    let canonical = |id: u64| format!(r#"{{"schema_version":6,"id":{id},"kind":{body}}}"#);
+    let (first, computed) = exchange(canonical(1));
+    assert!(!first.cached, "the first request computes: {first:?}");
+    assert_matches_direct(&kind, &first);
+    let (warm, reference) = exchange(canonical(2));
+    assert!(warm.cached, "{warm:?}");
+    assert_eq!(reference, computed);
+
+    // No string in a cell body holds `:` or `,`, so padding them pads
+    // only the JSON structure, inside the body as well as around it.
+    let padded = canonical(3).replace(':', " :\t").replace(',', " , ");
+    let reordered = format!(r#"{{"kind":{body},"id":4,"schema_version":6}}"#);
+    let unknown_key = format!(r#"{{"schema_version":6,"trace":[1,"x"],"id":5,"kind":{body}}}"#);
+    let with_deadline =
+        format!(r#"{{"schema_version":6,"id":6,"kind":{body},"deadline_ms":60000}}"#);
+    for (id, line) in [
+        (3, padded),
+        (4, reordered),
+        (5, unknown_key),
+        (6, with_deadline),
+    ] {
+        let (response, result) = exchange(line.clone());
+        assert_eq!(response.id, id, "{line}");
+        assert!(response.cached, "{line} was not a cache hit: {response:?}");
+        assert_eq!(result, reference, "{line} answered different bytes");
+    }
+
+    // Every warm answer counted as a hit, and only the first computed.
+    let mut client = Client::connect(addr).expect("connect");
+    let stats = client.stats().expect("stats");
+    let cell_row = stats
+        .endpoints
+        .iter()
+        .find(|e| e.endpoint == "cell")
+        .expect("a cell row");
+    assert_eq!(
+        (cell_row.requests, cell_row.cache_hits),
+        (6, 5),
+        "{cell_row:?}"
+    );
+
+    client.shutdown_server().expect("shutdown ack");
+    handle.join();
+}
