@@ -206,14 +206,10 @@ pub fn standard_plans(n: usize) -> Vec<ChaosPlan> {
 }
 
 /// The positive (achievable) UDC cells of Table 1, sized for the chaos
-/// campaign. `smoke` shrinks the grid for CI.
+/// campaign in CI: n = 4, horizon 600, loss 0.25.
 #[must_use]
-pub fn chaos_cells(smoke: bool) -> Vec<(String, CellSpec)> {
-    let (n, horizon, loss, (t_low, t_mid, t_high)) = if smoke {
-        (4, 600, 0.25, (1, 2, 3))
-    } else {
-        (5, 1200, 0.3, (2, 3, 4))
-    };
+pub fn chaos_cells() -> Vec<(String, CellSpec)> {
+    let (n, horizon, loss, (t_low, t_mid, t_high)) = (4, 600, 0.25, (1, 2, 3));
     let cell = |t: usize, drop: Option<f64>, fd: FdChoice, proto: ProtocolChoice| {
         CellSpec::new(n, t, drop, fd, proto).horizon(horizon)
     };

@@ -8,54 +8,45 @@
 //!
 //! # Layout
 //!
-//! Bits are **word-aligned per run**: run `ri`'s points start at word
-//! `word_off[ri]`, bit `m` of the run at word `word_off[ri] + m / 64`,
-//! bit position `m % 64` (LSB first). Aligning each run to a word boundary
-//! costs at most 63 padding bits per run and buys two things:
+//! Bits are **dense**: runs are packed back to back, run `ri`'s tick `m`
+//! at global bit `bit_off[ri] + m`, which lives in word `bit / 64` at bit
+//! position `bit % 64` (LSB first). The only padding is the tail of the
+//! last word, so a table of `P` points is `⌈P / 64⌉` words whatever the
+//! run lengths — at horizon 24 a run fills 25 bits, where a word per run
+//! would leave 39 of its 64 unused.
 //!
-//! * temporal operators (`✷`, `✸`) and per-run fills never cross run
-//!   boundaries inside a word, and
-//! * disjoint runs occupy disjoint *words*, so per-run passes can hand out
-//!   `&mut` word segments to worker threads with no synchronization
-//!   (see `ktudc_par::par_segments_mut`).
+//! Runs share words, so the temporal operators (`✷`, `✸`) walk the runs
+//! in one sequential pass, each run's result one range fill over global
+//! bits.
 //!
-//! Padding bits are **don't-care**: operations never read them (all range
-//! scans mask the final partial word) and `not_inplace` may flip them.
-//! Equality, counting, and extraction mask them off.
+//! Padding bits are **don't-care**: operations never read them (range
+//! scans stay inside runs) and `not_inplace` may flip them. Equality,
+//! counting, and extraction mask them off.
 
-use ktudc_model::{IndistinguishableBlock, System, Time};
+use ktudc_model::{System, Time};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-/// The bit layout of a system's points: per-run point counts and word
-/// offsets. Shared (via `Arc`) by every table of one checker.
+/// The bit layout of a system's points: the first bit of each run. Shared
+/// (via `Arc`) by every table of one checker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Layout {
-    /// Points per run (`horizon + 1`).
-    run_points: Vec<usize>,
-    /// First word of each run, plus a final entry = total words.
-    word_off: Vec<usize>,
-    /// Total points (without padding).
-    points: usize,
+    /// First bit of each run, plus a final entry = total points.
+    bit_off: Vec<usize>,
 }
 
 impl Layout {
     /// Builds a layout from per-run point counts.
     #[must_use]
     pub fn from_counts(run_points: Vec<usize>) -> Self {
-        let mut word_off = Vec::with_capacity(run_points.len() + 1);
-        let mut words = 0usize;
-        let mut points = 0usize;
-        for &c in &run_points {
-            word_off.push(words);
-            words += c.div_ceil(64);
-            points += c;
+        let mut bit_off = Vec::with_capacity(run_points.len() + 1);
+        let mut bits = 0usize;
+        bit_off.push(bits);
+        for c in run_points {
+            bits += c;
+            bit_off.push(bits);
         }
-        word_off.push(words);
-        Layout {
-            run_points,
-            word_off,
-            points,
-        }
+        Layout { bit_off }
     }
 
     /// The layout of `system`'s points.
@@ -73,44 +64,46 @@ impl Layout {
     /// Number of runs.
     #[must_use]
     pub fn run_count(&self) -> usize {
-        self.run_points.len()
+        self.bit_off.len() - 1
     }
 
     /// Points in run `ri`.
     #[must_use]
     pub fn run_points(&self, ri: usize) -> usize {
-        self.run_points[ri]
+        self.bit_off[ri + 1] - self.bit_off[ri]
     }
 
     /// Total points across runs (padding excluded).
     #[must_use]
     pub fn point_count(&self) -> usize {
-        self.points
+        *self.bit_off.last().expect("bit_off is never empty")
     }
 
     /// Total words of a table with this layout.
     #[must_use]
     pub fn word_count(&self) -> usize {
-        *self.word_off.last().expect("word_off is never empty")
+        self.point_count().div_ceil(64)
     }
 
-    /// Word range of run `ri`.
+    /// The global bit of point `(run, m)`.
     #[must_use]
-    pub fn word_range(&self, ri: usize) -> std::ops::Range<usize> {
-        self.word_off[ri]..self.word_off[ri + 1]
+    pub fn bit(&self, run: usize, m: Time) -> usize {
+        debug_assert!((m as usize) < self.run_points(run));
+        self.bit_off[run] + m as usize
     }
 
-    /// Interior word boundaries between consecutive runs — the cut list for
-    /// [`ktudc_par::par_segments_mut`] over a table's words.
+    /// The point `(run, m)` of a global bit — the run is found by binary
+    /// search over the run offsets.
     #[must_use]
-    pub fn interior_word_cuts(&self) -> Vec<usize> {
-        self.word_off[1..self.word_off.len() - 1].to_vec()
+    pub fn point(&self, bit: usize) -> (usize, Time) {
+        let run = self.bit_off[1..].partition_point(|&end| end <= bit);
+        (run, (bit - self.bit_off[run]) as Time)
     }
 
-    /// Mask of valid bits in the last word of a run of `points` bits
-    /// (`u64::MAX` when the run fills its last word exactly).
-    fn tail_mask(points: usize) -> u64 {
-        match points % 64 {
+    /// Mask of valid bits in the last word (`u64::MAX` when the points
+    /// fill it exactly).
+    fn last_word_mask(&self) -> u64 {
+        match self.point_count() % 64 {
             0 => u64::MAX,
             rem => (1u64 << rem) - 1,
         }
@@ -128,8 +121,7 @@ impl BitTable {
     /// All-false table.
     #[must_use]
     pub fn zeros(layout: Arc<Layout>) -> Self {
-        let words = vec![0u64; layout.word_count()];
-        BitTable { layout, words }
+        Self::filled(layout, false)
     }
 
     /// All-true (or all-false) table.
@@ -155,10 +147,8 @@ impl BitTable {
     /// The bit at point `(run, m)`.
     #[must_use]
     pub fn get(&self, run: usize, m: Time) -> bool {
-        let m = m as usize;
-        debug_assert!(m < self.layout.run_points(run));
-        let w = self.layout.word_off[run] + m / 64;
-        (self.words[w] >> (m % 64)) & 1 == 1
+        let bit = self.layout.bit(run, m);
+        (self.words[bit / 64] >> (bit % 64)) & 1 == 1
     }
 
     /// Sets ticks `from ..= to` of `run` to `value`, word-wise.
@@ -167,26 +157,29 @@ impl BitTable {
     ///
     /// Panics (in debug) if the range exceeds the run.
     pub fn fill_range(&mut self, run: usize, from: Time, to: Time, value: bool) {
-        let base = self.layout.word_off[run];
-        debug_assert!((to as usize) < self.layout.run_points(run) && from <= to);
-        fill_bit_range(&mut self.words[base..], from as usize, to as usize, value);
+        debug_assert!(from <= to);
+        let (lo, hi) = (self.layout.bit(run, from), self.layout.bit(run, to));
+        fill_bits(&mut self.words, lo, hi, value);
     }
 
-    /// Whether every bit of ticks `from ..= to` of `run` is set.
-    #[must_use]
-    pub fn all_ones_range(&self, run: usize, from: Time, to: Time) -> bool {
-        let base = self.layout.word_off[run];
-        debug_assert!((to as usize) < self.layout.run_points(run) && from <= to);
-        all_ones_bit_range(&self.words[base..], from as usize, to as usize)
+    /// Sets global bits `from ..= to`.
+    pub(crate) fn set_bits(&mut self, from: usize, to: usize) {
+        fill_bits(&mut self.words, from, to, true);
     }
 
-    /// Whether every bit of every block is set — the `K_p` conjunction over
-    /// one equivalence class.
-    #[must_use]
-    pub fn all_ones_blocks(&self, blocks: &[IndistinguishableBlock]) -> bool {
-        blocks
-            .iter()
-            .all(|b| self.all_ones_range(b.run, b.from, b.to))
+    /// Whether every global bit `from ..= to` is set.
+    pub(crate) fn all_ones_bits(&self, from: usize, to: usize) -> bool {
+        let words = &self.words;
+        let (fw, tw) = (from / 64, to / 64);
+        let head = u64::MAX << (from % 64);
+        let tail = u64::MAX >> (63 - to % 64);
+        if fw == tw {
+            let mask = head & tail;
+            return words[fw] & mask == mask;
+        }
+        words[fw] & head == head
+            && words[tw] & tail == tail
+            && words[fw + 1..tw].iter().all(|&w| w == u64::MAX)
     }
 
     /// Word-wise negation (padding bits flip too — they are don't-care).
@@ -222,41 +215,37 @@ impl BitTable {
 
     /// `✷` (always): `out[m] = self[m] ∧ self[m+1] ∧ … ∧ self[horizon]`,
     /// per run. A run's result is one range fill: everything strictly after
-    /// its last zero bit. Runs are processed in parallel.
+    /// its last zero bit.
     #[must_use]
     pub fn always(&self) -> BitTable {
-        let mut out = BitTable::zeros(Arc::clone(&self.layout));
-        let cuts = self.layout.interior_word_cuts();
-        let layout = &self.layout;
-        let words = &self.words;
-        ktudc_par::par_segments_mut(&mut out.words, &cuts, |ri, seg| {
-            let bits = layout.run_points(ri);
-            let src = &words[layout.word_range(ri)];
-            match last_zero_bit(src, bits) {
-                None => fill_bit_range(seg, 0, bits - 1, true),
-                Some(z) if z + 1 < bits => fill_bit_range(seg, z + 1, bits - 1, true),
-                Some(_) => {}
-            }
-        });
-        out
+        self.per_run_fill(|lo, hi| match last_bit(&self.words, lo, hi, false) {
+            None => Some(lo..=hi),
+            Some(z) if z < hi => Some(z + 1..=hi),
+            Some(_) => None,
+        })
     }
 
     /// `✸` (eventually): `out[m] = self[m] ∨ … ∨ self[horizon]`, per run —
-    /// everything up to the run's last one bit. Runs are processed in
-    /// parallel.
+    /// everything up to the run's last one bit.
     #[must_use]
     pub fn eventually(&self) -> BitTable {
+        self.per_run_fill(|lo, hi| last_bit(&self.words, lo, hi, true).map(|o| lo..=o))
+    }
+
+    /// A table that is true on the bits `fill(lo, hi)` names for each run
+    /// spanning global bits `lo ..= hi`, and false elsewhere.
+    fn per_run_fill<F>(&self, fill: F) -> BitTable
+    where
+        F: Fn(usize, usize) -> Option<RangeInclusive<usize>>,
+    {
         let mut out = BitTable::zeros(Arc::clone(&self.layout));
-        let cuts = self.layout.interior_word_cuts();
-        let layout = &self.layout;
-        let words = &self.words;
-        ktudc_par::par_segments_mut(&mut out.words, &cuts, |ri, seg| {
-            let bits = layout.run_points(ri);
-            let src = &words[layout.word_range(ri)];
-            if let Some(o) = last_one_bit(src, bits) {
-                fill_bit_range(seg, 0, o, true);
+        for bounds in self.layout.bit_off.windows(2) {
+            if bounds[0] < bounds[1] {
+                if let Some(range) = fill(bounds[0], bounds[1] - 1) {
+                    fill_bits(&mut out.words, *range.start(), *range.end(), true);
+                }
             }
-        });
+        }
         out
     }
 
@@ -265,54 +254,35 @@ impl BitTable {
     /// costs one pass over the words, not one branch per point.
     #[must_use]
     pub fn first_zero(&self) -> Option<(usize, Time)> {
-        for ri in 0..self.layout.run_count() {
-            let bits = self.layout.run_points(ri);
-            let src = &self.words[self.layout.word_range(ri)];
-            for (wi, &w) in src.iter().enumerate() {
-                let masked = if wi + 1 == src.len() {
-                    w | !Layout::tail_mask(bits)
-                } else {
-                    w
-                };
-                if masked != u64::MAX {
-                    let bit = (!masked).trailing_zeros() as usize;
-                    return Some((ri, (wi * 64 + bit) as Time));
-                }
-            }
-        }
-        None
+        let last = self.words.len().checked_sub(1)?;
+        self.words.iter().enumerate().find_map(|(wi, &w)| {
+            let valid = if wi == last {
+                self.layout.last_word_mask()
+            } else {
+                u64::MAX
+            };
+            let zeros = !w & valid;
+            (zeros != 0).then(|| self.layout.point(wi * 64 + zeros.trailing_zeros() as usize))
+        })
     }
 
     /// Number of set bits (padding excluded).
     #[must_use]
     pub fn count_ones(&self) -> usize {
-        let mut total = 0usize;
-        for ri in 0..self.layout.run_count() {
-            let bits = self.layout.run_points(ri);
-            let src = &self.words[self.layout.word_range(ri)];
-            for (wi, &w) in src.iter().enumerate() {
-                let masked = if wi + 1 == src.len() {
-                    w & Layout::tail_mask(bits)
-                } else {
-                    w
-                };
-                total += masked.count_ones() as usize;
-            }
-        }
-        total
+        let Some((&last, body)) = self.words.split_last() else {
+            return 0;
+        };
+        let body: usize = body.iter().map(|w| w.count_ones() as usize).sum();
+        body + (last & self.layout.last_word_mask()).count_ones() as usize
     }
 
     /// Unpacks to one `bool` per point, in `(run, m)` order — the reference
     /// checker's representation, for differential comparison.
     #[must_use]
     pub fn to_bools(&self) -> Vec<bool> {
-        let mut out = Vec::with_capacity(self.layout.point_count());
-        for ri in 0..self.layout.run_count() {
-            for m in 0..self.layout.run_points(ri) {
-                out.push(self.get(ri, m as Time));
-            }
-        }
-        out
+        (0..self.layout.point_count())
+            .map(|bit| (self.words[bit / 64] >> (bit % 64)) & 1 == 1)
+            .collect()
     }
 
     /// Packs one `bool` per point, in `(run, m)` order.
@@ -324,15 +294,8 @@ impl BitTable {
     pub fn from_bools(layout: Arc<Layout>, bools: &[bool]) -> Self {
         assert_eq!(bools.len(), layout.point_count(), "length mismatch");
         let mut t = BitTable::zeros(layout);
-        let mut i = 0;
-        for ri in 0..t.layout.run_count() {
-            for m in 0..t.layout.run_points(ri) {
-                if bools[i] {
-                    let w = t.layout.word_off[ri] + m / 64;
-                    t.words[w] |= 1 << (m % 64);
-                }
-                i += 1;
-            }
+        for (bit, _) in bools.iter().enumerate().filter(|(_, &b)| b) {
+            t.words[bit / 64] |= 1 << (bit % 64);
         }
         t
     }
@@ -344,34 +307,22 @@ impl PartialEq for BitTable {
         if self.layout != other.layout {
             return false;
         }
-        for ri in 0..self.layout.run_count() {
-            let bits = self.layout.run_points(ri);
-            let a = &self.words[self.layout.word_range(ri)];
-            let b = &other.words[other.layout.word_range(ri)];
-            for wi in 0..a.len() {
-                let mask = if wi + 1 == a.len() {
-                    Layout::tail_mask(bits)
-                } else {
-                    u64::MAX
-                };
-                if (a[wi] ^ b[wi]) & mask != 0 {
-                    return false;
-                }
-            }
-        }
-        true
+        let Some(((&a, a_body), (&b, b_body))) =
+            self.words.split_last().zip(other.words.split_last())
+        else {
+            return true;
+        };
+        a_body == b_body && (a ^ b) & self.layout.last_word_mask() == 0
     }
 }
 
 impl Eq for BitTable {}
 
-/// Sets or clears bits `from ..= to` of a word segment (`from`/`to` are bit
-/// indices local to the segment).
-fn fill_bit_range(words: &mut [u64], from: usize, to: usize, value: bool) {
-    let (fw, fb) = (from / 64, from % 64);
-    let (tw, tb) = (to / 64, to % 64);
-    let head = u64::MAX << fb;
-    let tail = u64::MAX >> (63 - tb);
+/// Sets or clears bits `from ..= to` of a word slice.
+fn fill_bits(words: &mut [u64], from: usize, to: usize, value: bool) {
+    let (fw, tw) = (from / 64, to / 64);
+    let head = u64::MAX << (from % 64);
+    let tail = u64::MAX >> (63 - to % 64);
     if fw == tw {
         let mask = head & tail;
         if value {
@@ -383,65 +334,30 @@ fn fill_bit_range(words: &mut [u64], from: usize, to: usize, value: bool) {
     }
     if value {
         words[fw] |= head;
-        for w in &mut words[fw + 1..tw] {
-            *w = u64::MAX;
-        }
+        words[fw + 1..tw].fill(u64::MAX);
         words[tw] |= tail;
     } else {
         words[fw] &= !head;
-        for w in &mut words[fw + 1..tw] {
-            *w = 0;
-        }
+        words[fw + 1..tw].fill(0);
         words[tw] &= !tail;
     }
 }
 
-/// Whether bits `from ..= to` of a word segment are all ones.
-fn all_ones_bit_range(words: &[u64], from: usize, to: usize) -> bool {
-    let (fw, fb) = (from / 64, from % 64);
-    let (tw, tb) = (to / 64, to % 64);
-    let head = u64::MAX << fb;
-    let tail = u64::MAX >> (63 - tb);
-    if fw == tw {
-        let mask = head & tail;
-        return words[fw] & mask == mask;
-    }
-    if words[fw] & head != head || words[tw] & tail != tail {
-        return false;
-    }
-    words[fw + 1..tw].iter().all(|&w| w == u64::MAX)
-}
-
-/// Index of the highest zero bit among the first `bits` bits, if any.
-fn last_zero_bit(words: &[u64], bits: usize) -> Option<usize> {
-    for (wi, &w) in words.iter().enumerate().rev() {
-        let valid = if wi + 1 == words.len() {
-            Layout::tail_mask(bits)
-        } else {
-            u64::MAX
-        };
-        let zeros = !w & valid;
-        if zeros != 0 {
-            return Some(wi * 64 + 63 - zeros.leading_zeros() as usize);
+/// The highest bit in `lo ..= hi` equal to `value`, if any.
+fn last_bit(words: &[u64], lo: usize, hi: usize, value: bool) -> Option<usize> {
+    let (lw, hw) = (lo / 64, hi / 64);
+    (lw..=hw).rev().find_map(|wi| {
+        let mut valid = u64::MAX;
+        if wi == hw {
+            valid &= u64::MAX >> (63 - hi % 64);
         }
-    }
-    None
-}
-
-/// Index of the highest one bit among the first `bits` bits, if any.
-fn last_one_bit(words: &[u64], bits: usize) -> Option<usize> {
-    for (wi, &w) in words.iter().enumerate().rev() {
-        let valid = if wi + 1 == words.len() {
-            Layout::tail_mask(bits)
-        } else {
-            u64::MAX
-        };
-        let ones = w & valid;
-        if ones != 0 {
-            return Some(wi * 64 + 63 - ones.leading_zeros() as usize);
+        if wi == lw {
+            valid &= u64::MAX << (lo % 64);
         }
-    }
-    None
+        let w = if value { words[wi] } else { !words[wi] };
+        let hits = w & valid;
+        (hits != 0).then(|| wi * 64 + 63 - hits.leading_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -453,15 +369,22 @@ mod tests {
     }
 
     #[test]
-    fn layout_word_alignment() {
+    fn layout_is_dense() {
         let l = layout(&[5, 64, 65, 1]);
-        assert_eq!(l.word_range(0), 0..1);
-        assert_eq!(l.word_range(1), 1..2);
-        assert_eq!(l.word_range(2), 2..4);
-        assert_eq!(l.word_range(3), 4..5);
-        assert_eq!(l.word_count(), 5);
+        assert_eq!(l.bit(1, 0), 5);
+        assert_eq!(l.bit(2, 64), 5 + 64 + 64);
+        assert_eq!(l.bit(3, 0), 5 + 64 + 65);
         assert_eq!(l.point_count(), 5 + 64 + 65 + 1);
-        assert_eq!(l.interior_word_cuts(), vec![1, 2, 4]);
+        assert_eq!(l.word_count(), 3);
+        assert_eq!(l.point(0), (0, 0));
+        assert_eq!(l.point(4), (0, 4));
+        assert_eq!(l.point(5), (1, 0));
+        assert_eq!(l.point(69), (2, 0));
+        assert_eq!(l.point(134), (3, 0));
+        // Empty runs own no bits: the search skips them.
+        let e = layout(&[2, 0, 0, 3]);
+        assert_eq!(e.point(2), (3, 0));
+        assert_eq!(e.point(1), (0, 1));
     }
 
     #[test]
@@ -506,22 +429,25 @@ mod tests {
         assert_eq!(not, a);
     }
 
+    /// `✷`/`✸` against a per-point scalar evaluation, over runs of odd
+    /// lengths that straddle words.
     #[test]
     fn temporal_ops_match_scalar() {
-        let l = layout(&[70, 70, 5]);
-        // Run 0: holes; run 1: all true; run 2: all false.
-        let mut bools = vec![true; 145];
-        bools[10] = false;
-        bools[69] = false; // last tick of run 0 false → always(run 0) all false
-        for b in bools.iter_mut().skip(140) {
-            *b = false;
+        let mut counts = vec![70, 70, 5, 1, 63, 129];
+        while counts.iter().sum::<usize>() < 4096 {
+            counts.push(1 + (counts.len() * 37) % 97);
         }
+        let l = layout(&counts);
+        let total = l.point_count();
+        let bools: Vec<bool> = (0..total)
+            .map(|i| (i * 2_654_435_761) % 7 != 0 && i % 97 != 3)
+            .collect();
         let t = BitTable::from_bools(Arc::clone(&l), &bools);
         let always = t.always();
         let eventually = t.eventually();
 
         let mut offset = 0;
-        for (ri, &points) in [70usize, 70, 5].iter().enumerate() {
+        for (ri, &points) in counts.iter().enumerate() {
             for m in 0..points {
                 let scalar_always = (m..points).all(|k| bools[offset + k]);
                 let scalar_event = (m..points).any(|k| bools[offset + k]);
@@ -541,37 +467,28 @@ mod tests {
     }
 
     #[test]
-    fn all_ones_ranges_and_blocks() {
-        let l = layout(&[200]);
+    fn all_ones_ranges() {
+        let l = layout(&[3, 200]);
         let mut t = BitTable::zeros(Arc::clone(&l));
-        t.fill_range(0, 50, 180, true);
-        assert!(t.all_ones_range(0, 50, 180));
-        assert!(t.all_ones_range(0, 64, 128));
-        assert!(!t.all_ones_range(0, 49, 60));
-        assert!(!t.all_ones_range(0, 170, 181));
-        assert!(t.all_ones_range(0, 70, 70));
-        let blocks = [
-            IndistinguishableBlock {
-                run: 0,
-                from: 55,
-                to: 60,
-                len: 1,
-            },
-            IndistinguishableBlock {
-                run: 0,
-                from: 100,
-                to: 170,
-                len: 1,
-            },
-        ];
-        assert!(t.all_ones_blocks(&blocks));
-        let bad = [IndistinguishableBlock {
-            run: 0,
-            from: 0,
-            to: 51,
-            len: 0,
-        }];
-        assert!(!t.all_ones_blocks(&bad));
+        t.fill_range(1, 50, 180, true);
+        assert!(t.all_ones_bits(53, 183));
+        assert!(t.all_ones_bits(67, 131));
+        assert!(!t.all_ones_bits(52, 63));
+        assert!(!t.all_ones_bits(173, 184));
+        assert!(t.all_ones_bits(73, 73));
+    }
+
+    #[test]
+    fn first_zero_maps_back_to_its_point() {
+        let l = layout(&[30, 50, 70]);
+        let mut t = BitTable::filled(Arc::clone(&l), true);
+        assert_eq!(t.first_zero(), None);
+        t.fill_range(2, 41, 41, false);
+        assert_eq!(t.first_zero(), Some((2, 41)));
+        t.fill_range(1, 40, 45, false);
+        assert_eq!(t.first_zero(), Some((1, 40)));
+        let z = BitTable::zeros(l);
+        assert_eq!(z.first_zero(), Some((0, 0)));
     }
 
     #[test]
@@ -588,8 +505,13 @@ mod tests {
         let l = layout(&[3, 65]);
         let t = BitTable::filled(Arc::clone(&l), true);
         assert_eq!(t.count_ones(), 68);
-        assert!(t.all_ones_range(1, 0, 64));
+        assert!(t.all_ones_bits(0, 67));
+        let mut ones = t.clone();
+        ones.not_inplace();
+        ones.not_inplace();
+        assert_eq!(ones, t);
         let z = BitTable::zeros(l);
         assert_eq!(z.count_ones(), 0);
+        assert_ne!(z, t);
     }
 }

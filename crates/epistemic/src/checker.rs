@@ -9,13 +9,15 @@
 //! The `K_p` clause is computed exactly, and *per equivalence class* rather
 //! than per point: the system's precomputed `~_p` partition
 //! ([`System::class_range`]/[`System::class_blocks`]) gives each class as a
-//! handful of contiguous tick ranges, the subformula table is AND-reduced
-//! over those ranges word-wise, and the verdict is written back to the
-//! whole class with range fills. Classes are independent, so they are
-//! evaluated in parallel (`ktudc_par`; sequential when the `parallel`
-//! feature is off). Temporal operators are word-level range scans, also
-//! parallel across runs. Primitive tables are built from per-run event
-//! scans (cheap, `O(events)`) followed by word-wise range fills.
+//! handful of contiguous tick ranges. On first use of `p` the checker
+//! flattens them into one table of global bit spans in class order
+//! (`ClassSpans`); the subformula table is AND-reduced over a class's
+//! spans word-wise, and the verdict is written back to the whole class
+//! with range fills. Temporal operators are one word-level range scan and
+//! one range fill per run. Primitive tables are built from per-run event
+//! scans (cheap, `O(events)`) followed by word-wise range fills. Every
+//! pass is sequential: the tables are small enough that a fork/join costs
+//! more than it saves.
 //!
 //! The previous per-point scalar evaluator is preserved unchanged in
 //! [`crate::reference`] as the differential-testing baseline.
@@ -23,9 +25,7 @@
 use crate::bittable::{BitTable, Layout};
 use crate::formula::{Formula, Prim};
 use ktudc_model::budget::{AbortReason, Budget};
-use ktudc_model::{
-    Event, IndistinguishableBlock, Point, ProcSet, ProcessId, SuspectReport, System, Time,
-};
+use ktudc_model::{Event, Point, ProcSet, ProcessId, SuspectReport, System, Time};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -61,9 +61,45 @@ pub struct ModelChecker<'a, M> {
     /// sight; `tables[id]` memoizes its truth table.
     ids: HashMap<Formula<M>, u32>,
     tables: Vec<Option<Arc<BitTable>>>,
-    /// Per-process `~_p` class structure, gathered once on first use: one
-    /// block-slice per equivalence class.
-    class_blocks: Vec<Option<Vec<&'a [IndistinguishableBlock]>>>,
+    /// Per-process `~_p` class structure as global bit spans, flattened
+    /// once on first use.
+    class_spans: Vec<Option<ClassSpans>>,
+}
+
+/// One process's `~_p` partition as a flat table of global bit spans, in
+/// class order: class `c` owns `spans[bounds[c]..bounds[c + 1]]`.
+struct ClassSpans {
+    /// Inclusive global bit ranges `(from, to)`, one per block.
+    spans: Vec<(u32, u32)>,
+    /// Span offset of each class, plus a final entry = `spans.len()`.
+    bounds: Vec<u32>,
+}
+
+impl ClassSpans {
+    fn new<M>(system: &System<M>, layout: &Layout, p: ProcessId) -> Self {
+        let index = |x: usize| u32::try_from(x).expect("a span index beyond u32::MAX");
+        let classes = system.class_range(p);
+        let mut spans = Vec::new();
+        let mut bounds = Vec::with_capacity(classes.len() + 1);
+        bounds.push(0);
+        for cid in classes {
+            for b in system.class_blocks(cid) {
+                spans.push((
+                    index(layout.bit(b.run, b.from)),
+                    index(layout.bit(b.run, b.to)),
+                ));
+            }
+            bounds.push(index(spans.len()));
+        }
+        ClassSpans { spans, bounds }
+    }
+
+    /// The spans of each class, in class order.
+    fn classes(&self) -> impl Iterator<Item = &[(u32, u32)]> {
+        self.bounds
+            .windows(2)
+            .map(|b| &self.spans[b[0] as usize..b[1] as usize])
+    }
 }
 
 impl<'a, M: Clone + Eq + Hash> ModelChecker<'a, M> {
@@ -76,7 +112,7 @@ impl<'a, M: Clone + Eq + Hash> ModelChecker<'a, M> {
             layout: Arc::new(Layout::for_system(system)),
             ids: HashMap::new(),
             tables: Vec::new(),
-            class_blocks: vec![None; n],
+            class_spans: (0..n).map(|_| None).collect(),
         }
     }
 
@@ -86,16 +122,11 @@ impl<'a, M: Clone + Eq + Hash> ModelChecker<'a, M> {
         self.system
     }
 
-    /// The `~_p` classes of `p`, as one block-slice per class, gathered
-    /// once and reused by every `K_p` evaluation.
-    fn class_blocks_for(&mut self, p: ProcessId) -> &[&'a [IndistinguishableBlock]] {
-        let system = self.system;
-        self.class_blocks[p.index()].get_or_insert_with(|| {
-            system
-                .class_range(p)
-                .map(|cid| system.class_blocks(cid))
-                .collect()
-        })
+    /// The `~_p` classes of `p` as spans, flattened once and reused by
+    /// every `K_p` evaluation.
+    fn class_spans_for(&mut self, p: ProcessId) -> &ClassSpans {
+        let (system, layout) = (self.system, &self.layout);
+        self.class_spans[p.index()].get_or_insert_with(|| ClassSpans::new(system, layout, p))
     }
 
     /// Evaluates `(R, r, m) ⊨ φ`.
@@ -123,8 +154,8 @@ impl<'a, M: Clone + Eq + Hash> ModelChecker<'a, M> {
     }
 
     /// [`valid`](Self::valid) under a [`Budget`]: table construction polls
-    /// the budget (per class for `K_p`, per run for primitives and
-    /// temporal operators) and memoized table bytes are charged against
+    /// the budget (per class for `K_p`, per run for primitives, once per
+    /// table for everything else) and memoized table bytes are charged against
     /// its memory cap. Tables whose construction the budget interrupted
     /// are **not** memoized — a partially evaluated `K_p` table is
     /// garbage, and caching it would silently corrupt every later query
@@ -311,7 +342,7 @@ impl<'a, M: Clone + Eq + Hash> ModelChecker<'a, M> {
             Formula::Knows(p, inner) => {
                 let t = self.table_budgeted(inner, budget)?;
                 let layout = Arc::clone(&self.layout);
-                knows_table(self.class_blocks_for(*p), layout, &t, budget)?
+                knows_table(self.class_spans_for(*p), layout, &t, budget)?
             }
         };
         if let Some(b) = budget {
@@ -406,28 +437,26 @@ impl<'a, M: Clone + Eq + Hash> ModelChecker<'a, M> {
 }
 
 /// The `K_p` table: for each `~_p` equivalence class, AND the subformula
-/// table over the class's tick ranges (word-wise), then paint the verdict
-/// over the class. Classes are independent — evaluated in parallel, each
-/// worker polling the shared budget once per class; verdicts computed
-/// after a trip are discarded wholesale by the error return.
+/// table over the class's spans (word-wise), then paint the verdict over
+/// the class. The budget is polled once per class; a trip returns the
+/// error and drops the half-painted table.
 fn knows_table(
-    class_blocks: &[&[IndistinguishableBlock]],
+    classes: &ClassSpans,
     layout: Arc<Layout>,
     inner: &BitTable,
     budget: Option<&Budget>,
 ) -> Result<BitTable, AbortReason> {
-    let verdicts = ktudc_par::par_map_slice(class_blocks, |_, blocks| match budget {
-        Some(b) if b.poll().is_err() => false,
-        _ => inner.all_ones_blocks(blocks),
-    });
-    if let Some(reason) = budget.and_then(Budget::tripped) {
-        return Err(reason);
-    }
     let mut out = BitTable::zeros(layout);
-    for (blocks, verdict) in class_blocks.iter().zip(verdicts) {
-        if verdict {
-            for b in *blocks {
-                out.fill_range(b.run, b.from, b.to, true);
+    for spans in classes.classes() {
+        if let Some(b) = budget {
+            b.poll()?;
+        }
+        if spans
+            .iter()
+            .all(|&(from, to)| inner.all_ones_bits(from as usize, to as usize))
+        {
+            for &(from, to) in spans {
+                out.set_bits(from as usize, to as usize);
             }
         }
     }

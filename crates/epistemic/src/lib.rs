@@ -17,10 +17,9 @@
 //! indistinguishability class, not an approximation), with tables cached
 //! per subformula.
 //!
-//! Truth tables are bit-packed ([`bittable::BitTable`]) so boolean
-//! connectives work 64 points per instruction, `K_p` is evaluated once per
-//! `~_p`-equivalence class, and independent classes / runs are processed in
-//! parallel when the `parallel` feature (on by default) is enabled. The
+//! Truth tables are bit-packed densely ([`bittable::BitTable`]) so boolean
+//! connectives work 64 points per instruction, and `K_p` is evaluated once
+//! per `~_p`-equivalence class. The
 //! original per-point scalar evaluator survives as
 //! [`reference::ReferenceChecker`] and the two are held bit-identical by
 //! differential tests.

@@ -4,10 +4,10 @@
 //! [`ReferenceChecker`] evaluates each subformula to a plain `Vec<bool>`
 //! truth table, one bool per point, with the `K_p` clause computed per point
 //! by walking the point's `~_p`-class. It is deliberately *not* optimized:
-//! the packed, class-parallel [`crate::ModelChecker`] must produce
+//! the packed, class-wise [`crate::ModelChecker`] must produce
 //! bit-identical verdicts to this one (see the workspace's differential
-//! property tests), and the `perf` benchmark binary measures its speedup
-//! against this implementation.
+//! property tests), and the benchmark's `check` workload uses it as its
+//! oracle.
 
 use crate::formula::{Formula, Prim};
 use ktudc_model::{Event, Point, ProcessId, Run, SuspectReport, System, Time};

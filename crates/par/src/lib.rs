@@ -1,9 +1,9 @@
 //! Scoped-thread data parallelism for ktudc.
 //!
-//! rayon cannot be vendored in the offline build, so the hot loops in the
-//! checker and explorer parallelize through this crate instead: ordered
-//! `par_map` over owned items or slices, and `par_segments_mut` for
-//! mutating disjoint sub-slices (e.g. per-run word ranges of a bit table).
+//! rayon cannot be vendored in the offline build, so the hot loops of the
+//! explorer and the experiment harness parallelize through this crate
+//! instead: ordered `par_map` over owned items, and `par_map_steal` for
+//! items of wildly uneven cost.
 //!
 //! All functions preserve sequential semantics exactly — results are
 //! returned in input order and each worker owns a contiguous range — so
@@ -15,8 +15,8 @@
 //! worker runs every helper inline, on its own thread.** The pool is
 //! already the parallelism its jobs get — a server's pool has one worker
 //! per core — so fanning a job out again would only oversubscribe the
-//! cores and pay a spawn and join per job. Callers outside a pool (the
-//! main thread of `explore`, `check`, `perf`) keep their fan-out. A panic
+//! cores and pay a spawn and join per job. Callers outside a pool (e.g. the
+//! main thread of an exploration) keep their fan-out. A panic
 //! on a fork/join thread reaches the caller with its original payload.
 
 #![forbid(unsafe_code)]
@@ -209,92 +209,6 @@ where
     )
 }
 
-/// Maps `f` over `items` by reference, in input order. `f` also receives
-/// the item's index.
-pub fn par_map_slice<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = fan_out(items.len());
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk_len = items.len().div_ceil(threads);
-    let f = &f;
-    let parts: Vec<Vec<U>> = std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                s.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(j, t)| f(ci * chunk_len + j, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(join).collect()
-    });
-    parts.into_iter().flatten().collect()
-}
-
-/// Splits `data` at the given ascending cut points and runs `f` on each
-/// segment (with its index) — segments are disjoint, so workers mutate
-/// without synchronization. `cuts` must be ascending and `<= data.len()`;
-/// segment `i` spans `[cuts[i-1], cuts[i])` with implicit first/last cuts
-/// at `0` and `data.len()`.
-///
-/// # Panics
-///
-/// Panics if `cuts` is not ascending or exceeds `data.len()`.
-pub fn par_segments_mut<T, F>(data: &mut [T], cuts: &[usize], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let mut segments: Vec<(usize, &mut [T])> = Vec::with_capacity(cuts.len() + 1);
-    let mut rest = data;
-    let mut consumed = 0;
-    for (i, &cut) in cuts.iter().enumerate() {
-        assert!(cut >= consumed, "cuts must be ascending");
-        let (seg, tail) = rest.split_at_mut(cut - consumed);
-        segments.push((i, seg));
-        rest = tail;
-        consumed = cut;
-    }
-    segments.push((cuts.len(), rest));
-
-    let threads = fan_out(segments.len());
-    if threads <= 1 {
-        for (i, seg) in segments {
-            f(i, seg);
-        }
-        return;
-    }
-    let group_len = segments.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        let mut iter = segments.into_iter();
-        loop {
-            let group: Vec<(usize, &mut [T])> = iter.by_ref().take(group_len).collect();
-            if group.is_empty() {
-                break;
-            }
-            handles.push(s.spawn(move || {
-                for (i, seg) in group {
-                    f(i, seg);
-                }
-            }));
-        }
-        handles.into_iter().for_each(join);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,37 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_slice_passes_correct_indices() {
-        let items: Vec<u32> = (0..257).collect();
-        let out = par_map_slice(&items, |i, &x| (i as u32, x));
-        for (i, (idx, x)) in out.iter().enumerate() {
-            assert_eq!(*idx as usize, i);
-            assert_eq!(*x as usize, i);
-        }
-    }
-
-    #[test]
-    fn par_segments_mut_covers_disjointly() {
-        let mut data = vec![0u8; 100];
-        par_segments_mut(&mut data, &[10, 10, 55], |i, seg| {
-            for b in seg {
-                *b += 1 + i as u8;
-            }
-        });
-        // Segment 1 is empty (cuts 10,10); every element written exactly once.
-        assert!(data[..10].iter().all(|&b| b == 1));
-        assert!(data[10..55].iter().all(|&b| b == 3));
-        assert!(data[55..].iter().all(|&b| b == 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn par_segments_mut_rejects_descending_cuts() {
-        let mut data = vec![0u8; 10];
-        par_segments_mut(&mut data, &[5, 3], |_, _| {});
-    }
-
-    #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
     }
@@ -400,20 +283,13 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         pool.try_execute(move || {
             let items: Vec<u64> = (0..64).collect();
-            let cuts: Vec<usize> = (1..64).collect();
             let mut stats = StealStats::default();
             let used = [
                 threads_used(|record| {
                     par_map(items.clone(), |_| record());
                 }),
                 threads_used(|record| {
-                    par_map_slice(&items, |_, _| record());
-                }),
-                threads_used(|record| {
                     stats = par_map_steal(items.clone(), |_| record()).1;
-                }),
-                threads_used(|record| {
-                    par_segments_mut(&mut [0u8; 64], &cuts, |_, _| record());
                 }),
             ];
             tx.send((std::thread::current().id(), used, stats)).unwrap();
@@ -421,12 +297,7 @@ mod tests {
         .unwrap();
         let (job, used, stats) = rx.recv().expect("the job ran");
         pool.shutdown();
-        let helpers = [
-            "par_map",
-            "par_map_slice",
-            "par_map_steal",
-            "par_segments_mut",
-        ];
+        let helpers = ["par_map", "par_map_steal"];
         for (name, used) in helpers.iter().zip(used) {
             assert_eq!(used, HashSet::from([job]), "{name} left the job's thread");
         }
@@ -471,16 +342,7 @@ mod tests {
         };
         let payloads = [
             catch_unwind(|| par_map(items.clone(), boom)).unwrap_err(),
-            catch_unwind(|| par_map_slice(&items, |_, &x| boom(x))).unwrap_err(),
             catch_unwind(|| par_map_steal(items.clone(), boom)).unwrap_err(),
-            catch_unwind(|| {
-                let mut data = items.clone();
-                let cuts: Vec<usize> = (1..64).collect();
-                par_segments_mut(&mut data, &cuts, |_, seg| {
-                    boom(seg[0]);
-                });
-            })
-            .unwrap_err(),
         ];
         for payload in &payloads {
             assert_eq!(message(payload.as_ref()), "boom 7");

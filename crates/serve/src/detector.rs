@@ -25,7 +25,7 @@
 //! suspicion therefore costs latency (a detour through a replica), never
 //! correctness — which is exactly the accuracy/completeness trade the
 //! paper's detector classes price out, and why
-//! `perf --fd-live` can honestly measure which
+//! `crates/serve/tests/fd_live.rs` can honestly measure which
 //! [`EmpiricalClass`](ktudc_fd::EmpiricalClass) the live plane achieves
 //! per wire regime without risking the serve plane's zero-wrong-answers contract.
 //!
