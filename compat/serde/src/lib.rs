@@ -9,6 +9,49 @@
 //! like upstream serde_json output: structs are objects, newtype structs are
 //! transparent, unit enum variants are strings, and data-carrying variants
 //! are single-key objects (externally tagged).
+//!
+//! The fields of a derived named struct take upstream's `default` and
+//! `skip_serializing_if` (see `serde_derive`):
+//!
+//! ```
+//! #[derive(serde::Serialize, serde::Deserialize)]
+//! struct Row {
+//!     #[serde(default, skip_serializing_if = "Option::is_none")]
+//!     phi: Option<f64>,
+//! }
+//! ```
+//!
+//! Any other option stops the build, and so does an option anywhere but
+//! on a named struct's field:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Row {
+//!     #[serde(rename = "p")]
+//!     phi: Option<f64>,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! #[serde(default)]
+//! struct Row {
+//!     phi: Option<f64>,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! enum Kind {
+//!     #[serde(default)]
+//!     Ping,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Phi(#[serde(default)] f64);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

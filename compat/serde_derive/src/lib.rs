@@ -5,6 +5,19 @@
 //! source strings. Supports exactly the shapes the repo derives on: named
 //! structs, tuple structs, and enums with unit / tuple / named-field
 //! variants, with plain (bound-free) type parameters.
+//!
+//! Two field attributes are understood, spelled as upstream serde spells
+//! them, and only on the fields of a named struct:
+//!
+//! * `#[serde(default)]` — a missing key decodes as
+//!   `Default::default()`. A present key decodes as without it: a
+//!   wrong-typed value is still an error.
+//! * `#[serde(skip_serializing_if = "path")]` — the field is not written
+//!   when `path(&self.field)` is true. The others keep declaration order.
+//!
+//! Any other `serde` option, and a `#[serde(...)]` on a container, a
+//! variant or a tuple field, stops the build with a message naming it:
+//! nothing is silently ignored.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -17,10 +30,20 @@ struct Item {
 
 #[derive(Debug)]
 enum Kind {
-    NamedStruct(Vec<String>),
+    NamedStruct(Vec<Field>),
     TupleStruct(usize),
     UnitStruct,
     Enum(Vec<Variant>),
+}
+
+/// A named-struct field and its `#[serde(...)]` options.
+#[derive(Debug)]
+struct Field {
+    name: String,
+    /// `#[serde(default)]`.
+    default: bool,
+    /// `#[serde(skip_serializing_if = "path")]`: the path.
+    skip_if: Option<String>,
 }
 
 #[derive(Debug)]
@@ -37,7 +60,7 @@ enum VFields {
 }
 
 /// Derives `serde::Serialize` (offline stand-in).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -46,7 +69,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives `serde::Deserialize` (offline stand-in).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)
@@ -59,9 +82,10 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    skip_attrs_and_vis(&tokens, &mut i);
+    let container_attrs = skip_attrs_and_vis(&tokens, &mut i);
     let keyword = expect_ident(&tokens, &mut i);
     let name = expect_ident(&tokens, &mut i);
+    refuse_attrs(&container_attrs, &format!("container `{name}`"));
     let generics = parse_generics(&tokens, &mut i);
     let kind = match keyword.as_str() {
         "struct" => match tokens.get(i) {
@@ -88,10 +112,27 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
+/// Skips attributes and a visibility; returns the argument lists of the
+/// `#[serde(...)]` attributes among them.
+fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Vec<TokenStream> {
+    let mut serde_args = Vec::new();
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(g)) = tokens.get(*i + 1) {
+                    let attr: Vec<TokenTree> = g.stream().into_iter().collect();
+                    if matches!(attr.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde")
+                    {
+                        match &attr[1..] {
+                            [TokenTree::Group(args)]
+                                if args.delimiter() == Delimiter::Parenthesis =>
+                            {
+                                serde_args.push(args.stream());
+                            }
+                            _ => panic!("malformed attribute `#[{}]`", g.stream()),
+                        }
+                    }
+                }
                 *i += 2; // `#` plus the bracket group
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
@@ -102,9 +143,60 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
                     }
                 }
             }
-            _ => return,
+            _ => return serde_args,
         }
     }
+}
+
+/// Stops the build if `#[serde(...)]` appears where no option is
+/// implemented.
+fn refuse_attrs(serde_args: &[TokenStream], place: &str) {
+    if let Some(args) = serde_args.first() {
+        panic!(
+            "unsupported `#[serde({args})]` on {place}: `serde` options are implemented only on the fields of a named struct"
+        );
+    }
+}
+
+/// Reads a named-struct field's `#[serde(...)]` options.
+fn field_attrs(name: String, serde_args: &[TokenStream]) -> Field {
+    let mut field = Field {
+        name,
+        default: false,
+        skip_if: None,
+    };
+    for args in serde_args {
+        let tokens: Vec<TokenTree> = args.clone().into_iter().collect();
+        for option in tokens.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+            match option {
+                [] => {}
+                [TokenTree::Ident(id)] if id.to_string() == "default" && !field.default => {
+                    field.default = true;
+                }
+                [TokenTree::Ident(id), TokenTree::Punct(eq), TokenTree::Literal(path)]
+                    if id.to_string() == "skip_serializing_if"
+                        && eq.as_char() == '='
+                        && field.skip_if.is_none() =>
+                {
+                    let quoted = path.to_string();
+                    let Some(path) = quoted.strip_prefix('"').and_then(|p| p.strip_suffix('"'))
+                    else {
+                        panic!(
+                            "`skip_serializing_if` on field `{}` takes a string literal, got {quoted}",
+                            field.name
+                        );
+                    };
+                    field.skip_if = Some(path.to_string());
+                }
+                other => panic!(
+                    "unsupported serde option `{}` on field `{}`: only `default` and `skip_serializing_if = \"path\"` are implemented, each at most once",
+                    other.iter().cloned().collect::<TokenStream>(),
+                    field.name
+                ),
+            }
+        }
+    }
+    field
 }
 
 fn expect_ident(tokens: &[TokenTree], i: &mut usize) -> String {
@@ -151,58 +243,55 @@ fn parse_generics(tokens: &[TokenTree], i: &mut usize) -> Vec<String> {
     params
 }
 
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        let serde_args = skip_attrs_and_vis(&tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
-        fields.push(expect_ident(&tokens, &mut i));
-        // Skip `:` then the type, up to a top-level (angle-depth 0) comma.
+        fields.push(field_attrs(expect_ident(&tokens, &mut i), &serde_args));
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             other => panic!("`:` expected after field name, got {other:?}"),
         }
-        let mut depth = 0usize;
-        while i < tokens.len() {
-            match &tokens[i] {
-                TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
-                TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                    i += 1;
-                    break;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
+        skip_type(&tokens, &mut i);
     }
     fields
 }
 
 fn count_tuple_fields(stream: TokenStream) -> usize {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
-    let mut count = 1;
-    let mut depth = 0usize;
-    for t in &tokens {
-        match t {
-            TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => count += 1,
-            _ => {}
+    let mut count = 0;
+    let mut i = 0;
+    while i < tokens.len() {
+        refuse_attrs(&skip_attrs_and_vis(&tokens, &mut i), "a tuple field");
+        if i >= tokens.len() {
+            break; // a trailing comma
         }
-    }
-    // Tolerate a trailing comma.
-    if matches!(tokens.last(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-        count -= 1;
+        count += 1;
+        skip_type(&tokens, &mut i);
     }
     count
+}
+
+/// Skips a field's type and the top-level (angle-depth 0) comma after it.
+fn skip_type(tokens: &[TokenTree], i: &mut usize) {
+    let mut depth = 0usize;
+    while *i < tokens.len() {
+        match &tokens[*i] {
+            TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
+            TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
+            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
+                *i += 1;
+                return;
+            }
+            _ => {}
+        }
+        *i += 1;
+    }
 }
 
 fn parse_variants(stream: TokenStream) -> Vec<Variant> {
@@ -210,15 +299,23 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        let serde_args = skip_attrs_and_vis(&tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
         let name = expect_ident(&tokens, &mut i);
+        refuse_attrs(&serde_args, &format!("variant `{name}`"));
         let fields = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                VFields::Named(parse_named_fields(g.stream()))
+                let fields = parse_named_fields(g.stream());
+                if let Some(f) = fields.iter().find(|f| f.default || f.skip_if.is_some()) {
+                    panic!(
+                        "unsupported `#[serde(...)]` on field `{}` of variant `{name}`: `serde` options are implemented only on the fields of a named struct",
+                        f.name
+                    );
+                }
+                VFields::Named(fields.into_iter().map(|f| f.name).collect())
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 i += 1;
@@ -275,11 +372,23 @@ fn gen_serialize(item: &Item) -> String {
             format!("::serde::Value::Array(vec![{}])", elems.join(", "))
         }
         Kind::NamedStruct(fields) => {
-            let pairs: Vec<String> = fields
+            let pushes: String = fields
                 .iter()
-                .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}))"))
+                .map(|f| {
+                    let n = &f.name;
+                    let push = format!(
+                        "fields.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));"
+                    );
+                    match &f.skip_if {
+                        Some(path) => format!("if !{path}(&self.{n}) {{ {push} }}"),
+                        None => push,
+                    }
+                })
                 .collect();
-            format!("::serde::Value::Object(vec![{}])", pairs.join(", "))
+            format!(
+                "let mut fields = ::std::vec::Vec::with_capacity({len}); {pushes} ::serde::Value::Object(fields)",
+                len = fields.len()
+            )
         }
         Kind::Enum(variants) => {
             let arms: Vec<String> = variants
@@ -365,10 +474,17 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
-fn field_init(owner: &str, field: &str) -> String {
-    format!(
-        "{field}: ::serde::Deserialize::from_value(v.get(\"{field}\").ok_or_else(|| ::serde::DeError(format!(\"missing field {owner}.{field}\")))?)?"
-    )
+fn field_init(owner: &str, field: &Field) -> String {
+    let n = &field.name;
+    if field.default {
+        format!(
+            "{n}: match v.get(\"{n}\") {{ ::std::option::Option::Some(value) => ::serde::Deserialize::from_value(value)?, ::std::option::Option::None => ::std::default::Default::default() }}"
+        )
+    } else {
+        format!(
+            "{n}: ::serde::Deserialize::from_value(v.get(\"{n}\").ok_or_else(|| ::serde::DeError(format!(\"missing field {owner}.{n}\")))?)?"
+        )
+    }
 }
 
 fn gen_enum_deserialize(name: &str, variants: &[Variant]) -> String {

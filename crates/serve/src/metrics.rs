@@ -440,7 +440,7 @@ pub struct PoolCounters {
 }
 
 /// Wire form of a full metrics snapshot (the `Stats` response body).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StatsReport {
     /// Microseconds since the server started.
     pub uptime_micros: u64,
@@ -489,109 +489,18 @@ pub struct StatsReport {
     pub endpoints: Vec<EndpointStats>,
     /// Response lines written since start, on every connection. Absent
     /// from reports of older servers; read as 0 then.
+    #[serde(default)]
     pub responses: u64,
     /// Write syscalls those lines went out in: a pipelined batch of
     /// inline answers shares one, so `responses / flushes` reads the
     /// coalescing off a live daemon. Absent from older reports; 0 then.
+    #[serde(default)]
     pub flushes: u64,
     /// Detector-plane counters (schema v6). `None` — and omitted from
     /// the encoding, so a v5 stats line is a valid v6 stats line — on
     /// processes without a detector plane.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub suspicion: Option<SuspicionStats>,
-}
-
-// Hand-encoded like the envelope types in `wire`: the v6 `suspicion`
-// field is omitted when `None` and defaulted when missing, keeping v5
-// and v6 stats lines mutually parseable; `responses` and `flushes` are
-// always written and defaulted when missing, and older readers look
-// fields up by name, so they never see them.
-impl Serialize for StatsReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("uptime_micros".to_string(), self.uptime_micros.to_value()),
-            ("workers".to_string(), self.workers.to_value()),
-            ("queue_depth".to_string(), self.queue_depth.to_value()),
-            ("queue_capacity".to_string(), self.queue_capacity.to_value()),
-            ("overloaded".to_string(), self.overloaded.to_value()),
-            (
-                "deadline_exceeded".to_string(),
-                self.deadline_exceeded.to_value(),
-            ),
-            ("idle_reaped".to_string(), self.idle_reaped.to_value()),
-            (
-                "oversized_rejected".to_string(),
-                self.oversized_rejected.to_value(),
-            ),
-            (
-                "malformed_lines".to_string(),
-                self.malformed_lines.to_value(),
-            ),
-            (
-                "queue_wait_p50_micros".to_string(),
-                self.queue_wait_p50_micros.to_value(),
-            ),
-            (
-                "queue_wait_p99_micros".to_string(),
-                self.queue_wait_p99_micros.to_value(),
-            ),
-            (
-                "compute_p50_micros".to_string(),
-                self.compute_p50_micros.to_value(),
-            ),
-            (
-                "compute_p99_micros".to_string(),
-                self.compute_p99_micros.to_value(),
-            ),
-            ("cache_entries".to_string(), self.cache_entries.to_value()),
-            ("cache_capacity".to_string(), self.cache_capacity.to_value()),
-            ("steals".to_string(), self.steals.to_value()),
-            ("deepest_queue".to_string(), self.deepest_queue.to_value()),
-            ("cache_hit_rate".to_string(), self.cache_hit_rate.to_value()),
-            ("endpoints".to_string(), self.endpoints.to_value()),
-            ("responses".to_string(), self.responses.to_value()),
-            ("flushes".to_string(), self.flushes.to_value()),
-        ];
-        if let Some(suspicion) = &self.suspicion {
-            fields.push(("suspicion".to_string(), suspicion.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for StatsReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::DeError(format!("stats report is missing `{name}`")))
-        };
-        Ok(StatsReport {
-            uptime_micros: u64::from_value(required("uptime_micros")?)?,
-            workers: usize::from_value(required("workers")?)?,
-            queue_depth: usize::from_value(required("queue_depth")?)?,
-            queue_capacity: usize::from_value(required("queue_capacity")?)?,
-            overloaded: u64::from_value(required("overloaded")?)?,
-            deadline_exceeded: u64::from_value(required("deadline_exceeded")?)?,
-            idle_reaped: u64::from_value(required("idle_reaped")?)?,
-            oversized_rejected: u64::from_value(required("oversized_rejected")?)?,
-            malformed_lines: u64::from_value(required("malformed_lines")?)?,
-            queue_wait_p50_micros: u64::from_value(required("queue_wait_p50_micros")?)?,
-            queue_wait_p99_micros: u64::from_value(required("queue_wait_p99_micros")?)?,
-            compute_p50_micros: u64::from_value(required("compute_p50_micros")?)?,
-            compute_p99_micros: u64::from_value(required("compute_p99_micros")?)?,
-            cache_entries: usize::from_value(required("cache_entries")?)?,
-            cache_capacity: usize::from_value(required("cache_capacity")?)?,
-            steals: u64::from_value(required("steals")?)?,
-            deepest_queue: usize::from_value(required("deepest_queue")?)?,
-            cache_hit_rate: f64::from_value(required("cache_hit_rate")?)?,
-            endpoints: Vec::<EndpointStats>::from_value(required("endpoints")?)?,
-            responses: v.get("responses").map_or(Ok(0), u64::from_value)?,
-            flushes: v.get("flushes").map_or(Ok(0), u64::from_value)?,
-            suspicion: match v.get("suspicion") {
-                None => None,
-                Some(s) => Some(SuspicionStats::from_value(s)?),
-            },
-        })
-    }
 }
 
 #[cfg(test)]
@@ -690,54 +599,6 @@ mod tests {
         assert_eq!(report.cache_hit_rate, 0.0);
         // The report must serialize (a NaN would be unencodable).
         assert!(serde_json::to_string(&report).is_ok());
-    }
-
-    #[test]
-    fn suspicion_counters_are_additive_on_the_wire() {
-        // A plain worker's report has no detector plane: no `suspicion`
-        // key, byte-compatible with a v5 stats line.
-        let m = Metrics::new();
-        let mut report = m.report(PoolCounters::default(), 0, 0);
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(!json.contains("suspicion"));
-        assert_eq!(serde_json::from_str::<StatsReport>(&json).unwrap(), report);
-
-        // A router overlays its detector plane's counters; they round-trip.
-        report.suspicion = Some(SuspicionStats {
-            probes_sent: 120,
-            probe_failures: 4,
-            suspects_raised: 1,
-            suspects_cleared: 1,
-            proactive_failovers: 9,
-            hedges_fired: 3,
-            hedges_won: 2,
-            hedges_wasted: 1,
-        });
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains(r#""suspicion":{"probes_sent":120"#));
-        assert_eq!(serde_json::from_str::<StatsReport>(&json).unwrap(), report);
-    }
-
-    #[test]
-    fn response_and_flush_counters_are_additive_on_the_wire() {
-        let m = Metrics::new();
-        assert_eq!((m.next_response(), m.next_response()), (1, 2));
-        m.next_response();
-        m.record_flush();
-        let report = m.report(PoolCounters::default(), 0, 0);
-        assert_eq!((report.responses, report.flushes), (3, 1));
-
-        // Always written, after the fields older readers know and before
-        // the optional `suspicion` block.
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.ends_with(r#"],"responses":3,"flushes":1}"#), "{json}");
-        assert_eq!(serde_json::from_str::<StatsReport>(&json).unwrap(), report);
-
-        // A line from a server that predates them reads as zeros.
-        let legacy = json.replace(r#","responses":3,"flushes":1"#, "");
-        let parsed: StatsReport = serde_json::from_str(&legacy).unwrap();
-        assert_eq!((parsed.responses, parsed.flushes), (0, 0));
-        assert_eq!(parsed.endpoints, report.endpoints);
     }
 
     #[test]

@@ -125,10 +125,10 @@ impl Request {
     }
 }
 
-// The envelope is hand-encoded (not derived) so the v3 option fields can
-// be *omitted* when default and *defaulted* when absent — the derive has
-// no attribute support, and a derived decoder would reject every v2
-// request line for missing keys.
+// The envelope is hand-encoded (not derived): the v3 option fields sit
+// flat beside `kind`, *omitted* when default and *defaulted* when absent,
+// and the derive has no `flatten`. This decoder is also the reference
+// that `RequestLine::parse` is tested against.
 impl Serialize for Request {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
@@ -421,7 +421,7 @@ pub struct CheckOutcome {
 }
 
 /// One response line.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Response {
     /// The schema version the request spoke (so v2 clients keep parsing
     /// responses from a v3 server).
@@ -451,6 +451,7 @@ pub struct Response {
     /// stamps the index of the worker it routed to. `generation` then
     /// counts restarts of *that shard*, so per-shard restart tracking
     /// needs both fields together.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shard: Option<usize>,
     /// The payload.
     pub result: ResponseKind,
@@ -499,51 +500,6 @@ impl Response {
                 retry_after_ms,
             }),
         )
-    }
-}
-
-// Hand-encoded like `Request`: the v5 `shard` field is *omitted* when
-// `None` and *defaulted* when absent, so a v4 response line is a valid
-// v5 response line and v4 parsers never see the key at all.
-impl Serialize for Response {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("id".to_string(), self.id.to_value()),
-            ("cached".to_string(), self.cached.to_value()),
-            ("micros".to_string(), self.micros.to_value()),
-            ("queue_wait_ms".to_string(), self.queue_wait_ms.to_value()),
-            ("compute_ms".to_string(), self.compute_ms.to_value()),
-            ("generation".to_string(), self.generation.to_value()),
-        ];
-        if let Some(shard) = self.shard {
-            fields.push(("shard".to_string(), shard.to_value()));
-        }
-        fields.push(("result".to_string(), self.result.to_value()));
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::DeError(format!("response is missing `{name}`")))
-        };
-        Ok(Response {
-            schema_version: u32::from_value(required("schema_version")?)?,
-            id: u64::from_value(required("id")?)?,
-            cached: bool::from_value(required("cached")?)?,
-            micros: u64::from_value(required("micros")?)?,
-            queue_wait_ms: f64::from_value(required("queue_wait_ms")?)?,
-            compute_ms: f64::from_value(required("compute_ms")?)?,
-            generation: u64::from_value(required("generation")?)?,
-            shard: match v.get("shard") {
-                None => None,
-                Some(s) => Option::<usize>::from_value(s)?,
-            },
-            result: ResponseKind::from_value(required("result")?)?,
-        })
     }
 }
 
@@ -799,7 +755,7 @@ pub struct HealthReport {
 }
 
 /// One shard's row in a [`ClusterHealthReport`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ShardHealth {
     /// The shard's index on the hash ring.
     pub shard: usize,
@@ -818,15 +774,18 @@ pub struct ShardHealth {
     /// The detector plane's current φ (suspicion level) for this shard
     /// (schema v6). `None` — and omitted from the encoding — when no
     /// detector plane is monitoring the shard.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub phi: Option<f64>,
     /// Whether the detector plane currently suspects this shard (schema
     /// v6; omitted when `false`). A suspected shard is skipped at
     /// routing time and served by its ring replicas.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub suspected: bool,
     /// Whether the shard is readmitted but still inside its probation
     /// window after a suspicion cleared (schema v6; omitted when
     /// `false`). A probationary shard takes traffic again but one missed
     /// heartbeat re-suspects it immediately.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub probation: bool,
 }
 
@@ -853,63 +812,10 @@ impl ShardHealth {
     }
 }
 
-// Hand-encoded like `Response`: the v6 suspicion fields are *omitted*
-// when absent/false and *defaulted* when missing, so a v5 row is a valid
-// v6 row and a healthy v6 row is byte-identical to its v5 encoding.
-impl Serialize for ShardHealth {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("shard".to_string(), self.shard.to_value()),
-            ("addr".to_string(), self.addr.to_value()),
-            ("reachable".to_string(), self.reachable.to_value()),
-            ("generation".to_string(), self.generation.to_value()),
-            ("report".to_string(), self.report.to_value()),
-        ];
-        if let Some(phi) = self.phi {
-            fields.push(("phi".to_string(), phi.to_value()));
-        }
-        if self.suspected {
-            fields.push(("suspected".to_string(), true.to_value()));
-        }
-        if self.probation {
-            fields.push(("probation".to_string(), true.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ShardHealth {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::DeError(format!("shard health is missing `{name}`")))
-        };
-        Ok(ShardHealth {
-            shard: usize::from_value(required("shard")?)?,
-            addr: String::from_value(required("addr")?)?,
-            reachable: bool::from_value(required("reachable")?)?,
-            generation: u64::from_value(required("generation")?)?,
-            report: Option::<HealthReport>::from_value(required("report")?)?,
-            phi: match v.get("phi") {
-                None => None,
-                Some(p) => Option::<f64>::from_value(p)?,
-            },
-            suspected: match v.get("suspected") {
-                None => false,
-                Some(s) => bool::from_value(s)?,
-            },
-            probation: match v.get("probation") {
-                None => false,
-                Some(p) => bool::from_value(p)?,
-            },
-        })
-    }
-}
-
 /// The `ClusterHealth` response body: per-shard health rows plus the
 /// aggregates a dashboard wants first. A single-process server answers
 /// with a one-shard cluster consisting of itself.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClusterHealthReport {
     /// Per-shard rows, indexed by ring position.
     pub shards: Vec<ShardHealth>,
@@ -928,7 +834,12 @@ pub struct ClusterHealthReport {
     pub max_generation: u64,
     /// Shards the detector plane currently suspects (schema v6; omitted
     /// from the encoding when 0, so a v5 report is a valid v6 report).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub suspected_shards: usize,
+}
+
+fn is_zero(n: &usize) -> bool {
+    *n == 0
 }
 
 impl ClusterHealthReport {
@@ -965,66 +876,6 @@ impl ClusterHealthReport {
         }
         report.shards = shards;
         report
-    }
-}
-
-// Hand-encoded for the same reason as `ShardHealth`: `suspected_shards`
-// is omitted when 0 and defaulted when missing.
-impl Serialize for ClusterHealthReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("shards".to_string(), self.shards.to_value()),
-            (
-                "reachable_shards".to_string(),
-                self.reachable_shards.to_value(),
-            ),
-            (
-                "total_cache_entries".to_string(),
-                self.total_cache_entries.to_value(),
-            ),
-            (
-                "total_queue_depth".to_string(),
-                self.total_queue_depth.to_value(),
-            ),
-            (
-                "total_in_flight".to_string(),
-                self.total_in_flight.to_value(),
-            ),
-            (
-                "total_stuck_workers".to_string(),
-                self.total_stuck_workers.to_value(),
-            ),
-            ("max_generation".to_string(), self.max_generation.to_value()),
-        ];
-        if self.suspected_shards != 0 {
-            fields.push((
-                "suspected_shards".to_string(),
-                self.suspected_shards.to_value(),
-            ));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ClusterHealthReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::DeError(format!("cluster health is missing `{name}`")))
-        };
-        Ok(ClusterHealthReport {
-            shards: Vec::<ShardHealth>::from_value(required("shards")?)?,
-            reachable_shards: usize::from_value(required("reachable_shards")?)?,
-            total_cache_entries: usize::from_value(required("total_cache_entries")?)?,
-            total_queue_depth: usize::from_value(required("total_queue_depth")?)?,
-            total_in_flight: usize::from_value(required("total_in_flight")?)?,
-            total_stuck_workers: u64::from_value(required("total_stuck_workers")?)?,
-            max_generation: u64::from_value(required("max_generation")?)?,
-            suspected_shards: match v.get("suspected_shards") {
-                None => 0,
-                Some(s) => usize::from_value(s)?,
-            },
-        })
     }
 }
 
@@ -1070,188 +921,6 @@ pub enum ErrorCode {
 mod tests {
     use super::*;
     use ktudc_core::harness::{FdChoice, ProtocolChoice};
-
-    #[test]
-    fn envelope_encoding_is_pinned() {
-        // The envelope shape is the serve wire schema (schema_version 6:
-        // v3's optional deadline/priority/accept_partial on requests,
-        // queue and compute timings on responses, retry_after_ms on
-        // errors, the v4 Classify endpoint, the v5 ClusterHealth
-        // endpoint + optional response `shard` stamp, and the v6 Ping
-        // probe + suspicion annotations); repin deliberately with a
-        // version bump, never silently.
-        let req = Request::new(7, RequestKind::Stats);
-        assert_eq!(
-            serde_json::to_string(&req).unwrap(),
-            r#"{"schema_version":6,"id":7,"kind":"Stats"}"#
-        );
-        let req = Request::new(8, RequestKind::Health);
-        assert_eq!(
-            serde_json::to_string(&req).unwrap(),
-            r#"{"schema_version":6,"id":8,"kind":"Health"}"#
-        );
-
-        let spec = CellSpec::new(3, 1, None, FdChoice::None, ProtocolChoice::Reliable)
-            .trials(2)
-            .horizon(100);
-        let req = Request::new(1, RequestKind::Cell(spec.clone()));
-        assert_eq!(
-            serde_json::to_string(&req).unwrap(),
-            r#"{"schema_version":6,"id":1,"kind":{"Cell":{"n":3,"t":1,"drop_prob":null,"fd":"None","protocol":"Reliable","horizon":100,"trials":2}}}"#
-        );
-
-        // Non-default options are appended after the v2-compatible core.
-        let req = Request::with_options(
-            2,
-            RequestKind::Cell(spec),
-            RequestOptions {
-                deadline_ms: Some(250),
-                priority: 1,
-                accept_partial: true,
-            },
-        );
-        assert_eq!(
-            serde_json::to_string(&req).unwrap(),
-            r#"{"schema_version":6,"id":2,"kind":{"Cell":{"n":3,"t":1,"drop_prob":null,"fd":"None","protocol":"Reliable","horizon":100,"trials":2}},"deadline_ms":250,"priority":1,"accept_partial":true}"#
-        );
-
-        // The v4 Classify endpoint (body encoding pinned in ktudc-fd).
-        let req = Request::new(
-            3,
-            RequestKind::Classify(ClassifySpec::new(
-                ktudc_fd::DetectorKind::Heartbeat,
-                ktudc_fd::FaultRegime::Clean,
-            )),
-        );
-        assert_eq!(
-            serde_json::to_string(&req).unwrap(),
-            r#"{"schema_version":6,"id":3,"kind":{"Classify":{"detector":"Heartbeat","regime":"Clean","n":4,"trials":6,"horizon":240,"seed":0}}}"#
-        );
-
-        let resp = Response::error(9, ErrorCode::Overloaded, "queue full");
-        assert_eq!(
-            serde_json::to_string(&resp).unwrap(),
-            r#"{"schema_version":6,"id":9,"cached":false,"micros":0,"queue_wait_ms":0.0,"compute_ms":0.0,"generation":0,"result":{"Error":{"code":"Overloaded","message":"queue full","retry_after_ms":0}}}"#
-        );
-    }
-
-    #[test]
-    fn ping_encoding_is_pinned() {
-        // The v6 heartbeat probe: both directions deliberately minimal —
-        // a Ping line is the cheapest thing the detector plane can put on
-        // the wire, and the Pong carries nothing because the envelope
-        // already has the arrival time implicitly and `generation`
-        // explicitly.
-        let req = Request::new(12, RequestKind::Ping);
-        assert_eq!(
-            serde_json::to_string(&req).unwrap(),
-            r#"{"schema_version":6,"id":12,"kind":"Ping"}"#
-        );
-        let resp = Response::new(12, false, 0, ResponseKind::Pong);
-        assert_eq!(
-            serde_json::to_string(&resp).unwrap(),
-            r#"{"schema_version":6,"id":12,"cached":false,"micros":0,"queue_wait_ms":0.0,"compute_ms":0.0,"generation":0,"result":"Pong"}"#
-        );
-        let json = serde_json::to_string(&resp).unwrap();
-        assert_eq!(serde_json::from_str::<Response>(&json).unwrap(), resp);
-    }
-
-    #[test]
-    fn cluster_health_encoding_is_pinned() {
-        // The v5 endpoint itself.
-        let req = Request::new(11, RequestKind::ClusterHealth);
-        assert_eq!(
-            serde_json::to_string(&req).unwrap(),
-            r#"{"schema_version":6,"id":11,"kind":"ClusterHealth"}"#
-        );
-
-        // A one-shard cluster (what a direct single-process server
-        // answers): the unreachable-row and reachable-row shapes are both
-        // part of the schema.
-        let report = ClusterHealthReport::aggregate(vec![
-            ShardHealth::new(0, "127.0.0.1:7001".to_string(), true, 3, None),
-            ShardHealth::new(1, "127.0.0.1:7002".to_string(), false, 2, None),
-        ]);
-        // No detector plane annotations: a v6 report with healthy rows is
-        // byte-identical to its v5 encoding (no phi/suspected/probation
-        // keys, no suspected_shards aggregate).
-        assert_eq!(
-            serde_json::to_string(&report).unwrap(),
-            r#"{"shards":[{"shard":0,"addr":"127.0.0.1:7001","reachable":true,"generation":3,"report":null},{"shard":1,"addr":"127.0.0.1:7002","reachable":false,"generation":2,"report":null}],"reachable_shards":1,"total_cache_entries":0,"total_queue_depth":0,"total_in_flight":0,"total_stuck_workers":0,"max_generation":3}"#
-        );
-        let resp = Response::new(11, false, 0, ResponseKind::ClusterHealth(report));
-        let json = serde_json::to_string(&resp).unwrap();
-        assert_eq!(serde_json::from_str::<Response>(&json).unwrap(), resp);
-    }
-
-    #[test]
-    fn suspicion_annotations_are_pinned_and_v5_compatible() {
-        // A detector-plane-annotated row: phi appears after report,
-        // suspected/probation only when true.
-        let mut suspect = ShardHealth::new(1, "127.0.0.1:7002".to_string(), true, 2, None);
-        suspect.phi = Some(8.5);
-        suspect.suspected = true;
-        let mut healthy = ShardHealth::new(0, "127.0.0.1:7001".to_string(), true, 3, None);
-        healthy.phi = Some(0.25);
-        let report = ClusterHealthReport::aggregate(vec![healthy, suspect]);
-        assert_eq!(report.suspected_shards, 1);
-        assert_eq!(
-            serde_json::to_string(&report).unwrap(),
-            r#"{"shards":[{"shard":0,"addr":"127.0.0.1:7001","reachable":true,"generation":3,"report":null,"phi":0.25},{"shard":1,"addr":"127.0.0.1:7002","reachable":true,"generation":2,"report":null,"phi":8.5,"suspected":true}],"reachable_shards":2,"total_cache_entries":0,"total_queue_depth":0,"total_in_flight":0,"total_stuck_workers":0,"max_generation":3,"suspected_shards":1}"#
-        );
-        let json = serde_json::to_string(&report).unwrap();
-        assert_eq!(
-            serde_json::from_str::<ClusterHealthReport>(&json).unwrap(),
-            report
-        );
-
-        // A probationary row round-trips too.
-        let mut probation = ShardHealth::new(2, "127.0.0.1:7003".to_string(), true, 4, None);
-        probation.phi = Some(0.1);
-        probation.probation = true;
-        let json = serde_json::to_string(&probation).unwrap();
-        assert!(json.contains(r#""probation":true"#));
-        assert_eq!(
-            serde_json::from_str::<ShardHealth>(&json).unwrap(),
-            probation
-        );
-
-        // A v5 row (no suspicion keys) still parses, defaulting them.
-        let legacy =
-            r#"{"shard":0,"addr":"127.0.0.1:7001","reachable":true,"generation":3,"report":null}"#;
-        let parsed: ShardHealth = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed.phi, None);
-        assert!(!parsed.suspected);
-        assert!(!parsed.probation);
-        let legacy_report = r#"{"shards":[],"reachable_shards":0,"total_cache_entries":0,"total_queue_depth":0,"total_in_flight":0,"total_stuck_workers":0,"max_generation":0}"#;
-        let parsed: ClusterHealthReport = serde_json::from_str(legacy_report).unwrap();
-        assert_eq!(parsed.suspected_shards, 0);
-    }
-
-    #[test]
-    fn response_shard_stamp_is_pinned_and_v4_compatible() {
-        // Unstamped responses omit the key entirely — byte-identical to a
-        // v4 response line apart from the version number.
-        let mut resp = Response::error(9, ErrorCode::Overloaded, "queue full");
-        assert!(!serde_json::to_string(&resp).unwrap().contains("shard"));
-
-        // A router stamp appears between `generation` and `result`.
-        resp.shard = Some(2);
-        assert_eq!(
-            serde_json::to_string(&resp).unwrap(),
-            r#"{"schema_version":6,"id":9,"cached":false,"micros":0,"queue_wait_ms":0.0,"compute_ms":0.0,"generation":0,"shard":2,"result":{"Error":{"code":"Overloaded","message":"queue full","retry_after_ms":0}}}"#
-        );
-        let json = serde_json::to_string(&resp).unwrap();
-        assert_eq!(serde_json::from_str::<Response>(&json).unwrap(), resp);
-
-        // A v4 response line (no `shard` key) still parses, defaulting
-        // the stamp to None.
-        let legacy = r#"{"schema_version":4,"id":9,"cached":false,"micros":0,"queue_wait_ms":0.0,"compute_ms":0.0,"generation":0,"result":{"Error":{"code":"Overloaded","message":"queue full","retry_after_ms":0}}}"#;
-        let parsed: Response = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed.shard, None);
-        assert_eq!(parsed.schema_version, 4);
-        assert_eq!(parsed.id, 9);
-    }
 
     /// One payload per [`ResponseKind`] variant, errors with and without
     /// a retry hint.
