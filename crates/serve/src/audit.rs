@@ -144,6 +144,7 @@ impl Auditor {
     pub fn record_client_error(&self, kind: &RequestKind, err: &ClientError, latency: Duration) {
         let name = match err {
             ClientError::Io(_) => "Io",
+            ClientError::Torn(_) => "Torn",
             ClientError::Protocol(_) => "Protocol",
             ClientError::RetriesExhausted { .. } => "RetriesExhausted",
             ClientError::CircuitOpen { .. } => "CircuitOpen",

@@ -40,46 +40,21 @@
 //! single-server so a script cannot take a whole fleet down with a
 //! one-word typo.
 //!
-//! Requests go through the fault-masking [`HardenedClient`], so
-//! transient overload and dropped connections are retried with backoff.
-//! Exit status is scriptable: `0` success, `1` transport, protocol or
-//! resume failure, `2` usage, `3` retry budget exhausted (persistent
-//! overload or a flapping server). Usage errors are checked before any
-//! network (or disk) access.
+//! `sweep` and `classify` are written once against the [`Call`] trait,
+//! so the same code drives the fault-masking [`HardenedClient`] (which
+//! retries transient overload and dropped connections with backoff)
+//! and the `--cluster` client. Exit status is scriptable: `0` success,
+//! `1` transport, protocol or resume failure, `2` usage, `3` retry
+//! budget exhausted (persistent overload or a flapping server). Usage
+//! errors are checked before any network (or disk) access.
 
 use ktudc_core::harness::{CellSpec, FdChoice, ProtocolChoice};
 use ktudc_fd::{ClassifySpec, DetectorKind, FaultRegime};
 use ktudc_serve::{
-    Client, ClientError, ClusterClient, HardenedClient, Membership, RequestKind, RequestOptions,
-    Response, ResponseKind, RetryPolicy,
+    Call, Client, ClientError, ClusterClient, HardenedClient, Membership, RequestKind,
+    RequestOptions, Response, ResponseKind, RetryPolicy, ServerCall,
 };
 use std::sync::Arc;
-
-/// The server connection a command runs against: one daemon (or a
-/// router, which answers on one address) or a fleet driven directly.
-enum Conn {
-    Single(HardenedClient),
-    Cluster(ClusterClient),
-}
-
-impl Conn {
-    fn batch_with_options(
-        &mut self,
-        kinds: Vec<(RequestKind, RequestOptions)>,
-    ) -> Result<Vec<Response>, ClientError> {
-        match self {
-            Conn::Single(c) => c.batch_with_options(kinds),
-            Conn::Cluster(c) => c.batch_with_options(kinds),
-        }
-    }
-
-    fn batch(&mut self, kinds: Vec<RequestKind>) -> Result<Vec<Response>, ClientError> {
-        match self {
-            Conn::Single(c) => c.batch(kinds),
-            Conn::Cluster(c) => c.batch(kinds),
-        }
-    }
-}
 
 /// Validates a `--cluster` member list *syntactically* — split on
 /// commas, each member a non-empty host, a `:`, and a `u16` port. No
@@ -229,7 +204,7 @@ fn fail(context: &str, e: &ClientError) -> ! {
 }
 
 fn run_sweep(
-    client: &mut Conn,
+    client: &mut impl Call,
     cells: &[(String, CellSpec)],
     deadline_ms: Option<u64>,
 ) -> Vec<Response> {
@@ -294,7 +269,9 @@ fn print_sweep(cells: &[(String, CellSpec)], responses: &[Response]) {
     println!("{:-<78}", "");
 }
 
-fn cmd_sweep(client: &mut Conn, smoke: bool, twice: bool, deadline_ms: Option<u64>) {
+/// Runs the sweep (twice with `--twice`); the caller prints its own
+/// server or cluster summary after it.
+fn cmd_sweep(client: &mut impl Call, smoke: bool, twice: bool, deadline_ms: Option<u64>) {
     let params = if smoke {
         SweepParams::smoke()
     } else {
@@ -326,33 +303,6 @@ fn cmd_sweep(client: &mut Conn, smoke: bool, twice: bool, deadline_ms: Option<u6
             std::process::exit(1);
         }
     }
-    match client {
-        Conn::Single(c) => match c.stats() {
-            Ok(stats) => println!(
-                "server: {} workers, queue {}/{}, cache {}/{} entries, hit rate {:.2}, {} shed, \
-                 {} steals, deepest deque {}",
-                stats.workers,
-                stats.queue_depth,
-                stats.queue_capacity,
-                stats.cache_entries,
-                stats.cache_capacity,
-                stats.cache_hit_rate,
-                stats.overloaded,
-                stats.steals,
-                stats.deepest_queue
-            ),
-            Err(e) => fail("stats failed", &e),
-        },
-        Conn::Cluster(c) => {
-            let metrics = c.metrics();
-            println!(
-                "cluster: {} shards, {} failovers, {} worker restarts observed",
-                c.ring().shards(),
-                metrics.failovers,
-                metrics.worker_restarts
-            );
-        }
-    }
 }
 
 /// Parses a detector name as printed in the classify table.
@@ -368,7 +318,7 @@ fn parse_regime(name: &str) -> Option<FaultRegime> {
 }
 
 fn cmd_classify(
-    client: &mut Conn,
+    client: &mut impl Call,
     detector: Option<DetectorKind>,
     regime: Option<FaultRegime>,
     smoke: bool,
@@ -718,6 +668,9 @@ fn main() {
     if members.is_some() && !matches!(command.as_str(), "sweep" | "classify" | "stats" | "health") {
         usage();
     }
+    // The flags only `sweep` and `classify` take.
+    let run_flags =
+        smoke || twice || deadline_ms.is_some() || detector.is_some() || regime.is_some();
     match command.as_str() {
         "sweep" => {
             if operand.is_some() || detector.is_some() || regime.is_some() {
@@ -735,24 +688,12 @@ fn main() {
             }
         }
         "stats" | "health" | "shutdown" => {
-            if operand.is_some()
-                || smoke
-                || twice
-                || deadline_ms.is_some()
-                || detector.is_some()
-                || regime.is_some()
-            {
+            if operand.is_some() || run_flags {
                 usage();
             }
         }
         "resume" => {
-            if operand.is_none()
-                || smoke
-                || twice
-                || deadline_ms.is_some()
-                || detector.is_some()
-                || regime.is_some()
-            {
+            if operand.is_none() || run_flags {
                 usage();
             }
         }
@@ -773,8 +714,17 @@ fn main() {
         }
         let client = ClusterClient::new(Arc::new(Membership::new(members)), RetryPolicy::default());
         match command.as_str() {
-            "sweep" => cmd_sweep(&mut Conn::Cluster(client), smoke, twice, deadline_ms),
-            "classify" => cmd_classify(&mut Conn::Cluster(client), detector, regime, smoke),
+            "sweep" => {
+                cmd_sweep(&mut &client, smoke, twice, deadline_ms);
+                let metrics = client.metrics();
+                println!(
+                    "cluster: {} shards, {} failovers, {} worker restarts observed",
+                    client.ring().shards(),
+                    metrics.failovers,
+                    metrics.worker_restarts
+                );
+            }
+            "classify" => cmd_classify(&mut &client, detector, regime, smoke),
             "stats" => cmd_stats_cluster(&client),
             "health" => cmd_health_cluster(&client),
             _ => usage(),
@@ -791,8 +741,26 @@ fn main() {
     }
     let mut client = HardenedClient::new(addr, RetryPolicy::default());
     match command.as_str() {
-        "sweep" => cmd_sweep(&mut Conn::Single(client), smoke, twice, deadline_ms),
-        "classify" => cmd_classify(&mut Conn::Single(client), detector, regime, smoke),
+        "sweep" => {
+            cmd_sweep(&mut client, smoke, twice, deadline_ms);
+            match client.stats() {
+                Ok(stats) => println!(
+                    "server: {} workers, queue {}/{}, cache {}/{} entries, hit rate {:.2}, \
+                     {} shed, {} steals, deepest deque {}",
+                    stats.workers,
+                    stats.queue_depth,
+                    stats.queue_capacity,
+                    stats.cache_entries,
+                    stats.cache_capacity,
+                    stats.cache_hit_rate,
+                    stats.overloaded,
+                    stats.steals,
+                    stats.deepest_queue
+                ),
+                Err(e) => fail("stats failed", &e),
+            }
+        }
+        "classify" => cmd_classify(&mut client, detector, regime, smoke),
         "stats" => cmd_stats(&mut client),
         "health" => cmd_health(&mut client),
         "shutdown" => cmd_shutdown(&mut client),

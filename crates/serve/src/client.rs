@@ -1,18 +1,24 @@
-//! A blocking client for the service protocol.
+//! Blocking clients for the service protocol: three layers over one
+//! request surface, [`Call`], whose one required method pipelines a
+//! batch and returns the responses **in request order**. [`ServerCall`]
+//! adds the accessors that ask the one server at the far end of a
+//! connection about itself.
 //!
-//! [`Client::batch`] is the workhorse: it writes every request line
-//! before reading any response (the requests pipeline through the
-//! server's worker pool and complete in whatever order they finish),
-//! then reads one line per request and reorders the responses by their
-//! echoed `id`s. [`Client::request`] is the batch of one.
-//!
-//! [`HardenedClient`] wraps `Client` with the fault-masking policy of a
-//! production caller: per-request socket deadlines, reconnect-and-resend
-//! on a broken or torn connection, and bounded exponential backoff with
-//! deterministic jitter on [`ErrorCode::Overloaded`]. Resending is safe
-//! because the server deduplicates identical in-flight bodies
-//! (single-flight) and memoizes results, so a retried request can only
-//! observe the one computation.
+//! - [`Client`] is one connection. A batch writes every request line
+//!   before reading any response (the requests pipeline through the
+//!   server's worker pool and complete in whatever order they finish),
+//!   then reads one line per request and reorders by the echoed `id`s.
+//! - [`HardenedClient`] wraps `Client` with the fault-masking policy of
+//!   a production caller: per-request socket deadlines,
+//!   reconnect-and-resend on a broken or torn connection, and bounded
+//!   exponential backoff with deterministic jitter on
+//!   [`ErrorCode::Overloaded`]. Resending is safe because the server
+//!   deduplicates identical in-flight bodies (single-flight) and
+//!   memoizes results, so a retried request can only observe the one
+//!   computation.
+//! - [`ClusterClient`](crate::cluster::ClusterClient) routes by key and
+//!   fails over; `&ClusterClient` is a [`Call`] but not a
+//!   [`ServerCall`], which would quietly ask whichever shard owns a key.
 //!
 //! The salvage machinery is soaked against real wire faults — torn
 //! frames, corrupted bytes, mid-response resets, half-open stalls,
@@ -37,8 +43,15 @@ use std::time::{Duration, Instant};
 pub enum ClientError {
     /// The connection failed.
     Io(std::io::Error),
-    /// The server sent something outside the protocol (bad JSON, an
-    /// unknown id, a mismatched payload kind).
+    /// The conversation broke off mid-exchange: the server closed the
+    /// connection, sent a torn or garbled (unparseable) line, or
+    /// answered a batch short. A fresh connection and a resend can
+    /// succeed, so [`HardenedClient`] retries it.
+    Torn(String),
+    /// The server sent something outside the protocol (a foreign schema
+    /// version, an unknown or duplicate id, a mismatched payload kind).
+    /// Resending cannot help: the peer is not the protocol partner the
+    /// client thinks it is.
     Protocol(String),
     /// A [`HardenedClient`] gave up: every attempt either found the
     /// server overloaded or lost the connection.
@@ -62,6 +75,7 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "i/o error: {e}"),
+            ClientError::Torn(msg) => write!(f, "torn conversation: {msg}"),
             ClientError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             ClientError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts; last failure: {last}")
@@ -81,6 +95,137 @@ impl std::error::Error for ClientError {}
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+/// The request surface every client layer shares: one required method,
+/// the rest written once on top of it.
+///
+/// A typed server-side failure is a *successful* call returning a
+/// [`ResponseKind::Error`] payload; `Err` means the conversation itself
+/// broke (or, for a fault-masking layer, could not be mended). Every
+/// provided method fails as [`Call::batch_with_options`] does.
+pub trait Call {
+    /// Sends a batch with per-request [`RequestOptions`] (deadline,
+    /// priority, partial acceptance) and returns one response per
+    /// request, in request order. A deadline-shed request answers with a
+    /// typed [`ErrorCode::DeadlineExceeded`] error — still a
+    /// *successful* call.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the layer cannot mask: any [`ClientError::Io`],
+    /// [`ClientError::Torn`] or [`ClientError::Protocol`] for a
+    /// [`Client`]; [`ClientError::RetriesExhausted`],
+    /// [`ClientError::CircuitOpen`] and protocol violations for a
+    /// [`HardenedClient`]; for a cluster, the failure of a request that
+    /// exhausted every replica.
+    fn batch_with_options(
+        &mut self,
+        kinds: Vec<(RequestKind, RequestOptions)>,
+    ) -> Result<Vec<Response>, ClientError>;
+
+    /// As [`Call::batch_with_options`], every request with default
+    /// options.
+    fn batch(&mut self, kinds: Vec<RequestKind>) -> Result<Vec<Response>, ClientError> {
+        self.batch_with_options(
+            kinds
+                .into_iter()
+                .map(|kind| (kind, RequestOptions::default()))
+                .collect(),
+        )
+    }
+
+    /// Sends one request and waits for its response: the batch of one.
+    fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
+        self.request_with_options(kind, RequestOptions::default())
+    }
+
+    /// As [`Call::request`], with explicit options.
+    fn request_with_options(
+        &mut self,
+        kind: RequestKind,
+        options: RequestOptions,
+    ) -> Result<Response, ClientError> {
+        self.batch_with_options(vec![(kind, options)])?
+            .pop()
+            .ok_or_else(|| ClientError::Torn("empty batch response".to_string()))
+    }
+
+    /// Classifies an empirical detector against a fault regime
+    /// (deterministic per spec and memoized, so a resend is harmless).
+    ///
+    /// # Errors
+    ///
+    /// As [`Call::request`], plus [`ClientError::Protocol`] when the
+    /// server answers with anything but a classification verdict.
+    fn classify(&mut self, spec: ClassifySpec) -> Result<RegimeVerdict, ClientError> {
+        match self.request(RequestKind::Classify(spec))?.result {
+            ResponseKind::Classify(verdict) => Ok(verdict),
+            other => Err(unexpected("a classification verdict", &other)),
+        }
+    }
+}
+
+/// The protocol error for a response whose payload is not the kind the
+/// call asked for.
+fn unexpected(what: &str, got: &ResponseKind) -> ClientError {
+    ClientError::Protocol(format!("expected {what}, got {got:?}"))
+}
+
+/// The server-scoped accessors of a one-connection layer ([`Client`],
+/// [`HardenedClient`]): each asks the one server at the far end about
+/// itself, and fails as [`Call::request`] does, or with
+/// [`ClientError::Protocol`] when the server answers with a payload of
+/// another kind. A cluster has fleet-wide forms instead:
+/// [`ClusterClient::stats_per_shard`](crate::cluster::ClusterClient::stats_per_shard),
+/// [`ClusterClient::cluster_health`](crate::cluster::ClusterClient::cluster_health)
+/// and [`ClusterClient::shutdown_cluster`](crate::cluster::ClusterClient::shutdown_cluster).
+pub trait ServerCall: Call {
+    /// Fetches a metrics snapshot.
+    fn stats(&mut self) -> Result<StatsReport, ClientError> {
+        match self.request(RequestKind::Stats)?.result {
+            ResponseKind::Stats(report) => Ok(report),
+            other => Err(unexpected("a stats payload", &other)),
+        }
+    }
+
+    /// Fetches a durability health snapshot.
+    fn health(&mut self) -> Result<HealthReport, ClientError> {
+        match self.request(RequestKind::Health)?.result {
+            ResponseKind::Health(report) => Ok(report),
+            other => Err(unexpected("a health payload", &other)),
+        }
+    }
+
+    /// Fetches a cluster health snapshot (per-shard rows + aggregate):
+    /// a router's view of its fleet, or a plain worker's one-shard view.
+    fn cluster_health(&mut self) -> Result<ClusterHealthReport, ClientError> {
+        match self.request(RequestKind::ClusterHealth)?.result {
+            ResponseKind::ClusterHealth(report) => Ok(report),
+            other => Err(unexpected("a cluster-health payload", &other)),
+        }
+    }
+
+    /// Sends a heartbeat probe (schema v6); returns the server's
+    /// generation from the response envelope. Answered inline by the
+    /// server, never queued behind compute — this is the detector
+    /// plane's liveness signal.
+    fn ping(&mut self) -> Result<u64, ClientError> {
+        let response = self.request(RequestKind::Ping)?;
+        match response.result {
+            ResponseKind::Pong => Ok(response.generation),
+            other => Err(unexpected("a pong", &other)),
+        }
+    }
+
+    /// Asks the server to drain and exit (idempotent, so a resend is
+    /// harmless).
+    fn shutdown_server(&mut self) -> Result<(), ClientError> {
+        match self.request(RequestKind::Shutdown)?.result {
+            ResponseKind::Shutdown => Ok(()),
+            other => Err(unexpected("a shutdown acknowledgement", &other)),
+        }
     }
 }
 
@@ -127,260 +272,120 @@ impl Client {
         })
     }
 
-    /// Sends one request and waits for its response.
-    ///
-    /// A typed server-side failure is a *successful* call returning a
-    /// [`ResponseKind::Error`] payload; `Err` means the conversation
-    /// itself broke.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] on connection failure, [`ClientError::Protocol`]
-    /// on an out-of-protocol reply.
-    pub fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
-        let mut responses = self.batch(vec![kind])?;
-        responses
-            .pop()
-            .ok_or_else(|| ClientError::Protocol("empty batch response".to_string()))
+    // `stats` and `ping` stay inherent as well, so callers that name
+    // them on a bare `Client` without importing `ServerCall` (the
+    // benchmark crate among them) keep compiling.
+
+    /// As [`ServerCall::stats`].
+    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
+        ServerCall::stats(self)
     }
 
-    /// Pipelines a batch: writes every request line, then collects one
-    /// response per request and returns them **in request order**
-    /// (matching the out-of-order completions by id).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] on connection failure, [`ClientError::Protocol`]
-    /// if a reply doesn't parse, answers an id outside the batch, or
-    /// duplicates an id.
-    pub fn batch(&mut self, kinds: Vec<RequestKind>) -> Result<Vec<Response>, ClientError> {
-        self.batch_with_options(
-            kinds
-                .into_iter()
-                .map(|kind| (kind, RequestOptions::default()))
-                .collect(),
-        )
-    }
-
-    /// As [`Client::batch`], with per-request [`RequestOptions`]
-    /// (deadline, priority, partial acceptance). A deadline-shed request
-    /// answers with a typed [`ErrorCode::DeadlineExceeded`] error — still
-    /// a *successful* call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::batch`].
-    pub fn batch_with_options(
-        &mut self,
-        kinds: Vec<(RequestKind, RequestOptions)>,
-    ) -> Result<Vec<Response>, ClientError> {
-        let count = kinds.len();
-        let (got, err) = self.batch_attempt(kinds);
-        if let Some(e) = err {
-            return Err(e);
-        }
-        let mut slots: Vec<Option<Response>> = Vec::new();
-        slots.resize_with(count, || None);
-        for (offset, response) in got {
-            slots[offset] = Some(response);
-        }
-        Ok(slots.into_iter().flatten().collect())
+    /// As [`ServerCall::ping`].
+    pub fn ping(&mut self) -> Result<u64, ClientError> {
+        ServerCall::ping(self)
     }
 
     /// One batch attempt that *salvages*: returns every response read
     /// before the conversation broke (tagged by offset into `kinds`),
-    /// plus the breaking error, if any. [`Client::batch`] is the strict
-    /// all-or-error wrapper; [`HardenedClient`] uses the salvaged prefix
-    /// so a severed connection only costs the responses not yet read.
+    /// plus the breaking error, if any. [`Client`]'s
+    /// [`Call::batch_with_options`] is the strict all-or-error wrapper;
+    /// [`HardenedClient`] uses the salvaged prefix so a severed
+    /// connection only costs the responses not yet read.
     pub(crate) fn batch_attempt(
         &mut self,
         kinds: Vec<(RequestKind, RequestOptions)>,
     ) -> (Vec<(usize, Response)>, Option<ClientError>) {
         let first_id = self.next_id;
         let count = kinds.len();
+        let mut got: Vec<(usize, Response)> = Vec::new();
+        let outcome = self.send(first_id, kinds).and_then(|()| {
+            let mut seen = vec![false; count];
+            for _ in 0..count {
+                got.push(self.read_response(first_id, &mut seen)?);
+            }
+            Ok(())
+        });
+        (got, outcome.err())
+    }
+
+    /// Writes the batch's request lines, ids from `first_id` on, in one
+    /// write.
+    fn send(
+        &mut self,
+        first_id: u64,
+        kinds: Vec<(RequestKind, RequestOptions)>,
+    ) -> Result<(), ClientError> {
+        let count = kinds.len();
         let mut lines = String::new();
         for (offset, (kind, options)) in kinds.into_iter().enumerate() {
             let request = Request::with_options(first_id + offset as u64, kind, options);
-            match serde_json::to_string(&request) {
-                Ok(encoded) => {
-                    lines.push_str(&encoded);
-                    lines.push('\n');
-                }
-                Err(e) => {
-                    return (
-                        Vec::new(),
-                        Some(ClientError::Protocol(format!(
-                            "request failed to encode: {e}"
-                        ))),
-                    )
-                }
-            }
+            let encoded = serde_json::to_string(&request)
+                .map_err(|e| ClientError::Protocol(format!("request failed to encode: {e}")))?;
+            lines.push_str(&encoded);
+            lines.push('\n');
         }
         self.next_id += count as u64;
-        if let Err(e) = self
-            .writer
-            .write_all(lines.as_bytes())
-            .and_then(|()| self.writer.flush())
-        {
-            return (Vec::new(), Some(ClientError::Io(e)));
-        }
-
-        let mut got: Vec<(usize, Response)> = Vec::new();
-        let mut seen = vec![false; count];
-        for _ in 0..count {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => {
-                    return (
-                        got,
-                        Some(ClientError::Protocol(
-                            "server closed the connection mid-batch".to_string(),
-                        )),
-                    )
-                }
-                Ok(_) => {}
-                Err(e) => return (got, Some(ClientError::Io(e))),
-            }
-            let response: Response = match serde_json::from_str(line.trim_end()) {
-                Ok(r) => r,
-                Err(e) => {
-                    return (
-                        got,
-                        Some(ClientError::Protocol(format!("unparseable response: {e}"))),
-                    )
-                }
-            };
-            if response.schema_version != SCHEMA_VERSION {
-                return (
-                    got,
-                    Some(ClientError::Protocol(format!(
-                        "response schema_version {}, expected {SCHEMA_VERSION}",
-                        response.schema_version
-                    ))),
-                );
-            }
-            let Some(offset) = response
-                .id
-                .checked_sub(first_id)
-                .map(|o| o as usize)
-                .filter(|&o| o < count)
-            else {
-                return (
-                    got,
-                    Some(ClientError::Protocol(format!(
-                        "response for unknown id {}",
-                        response.id
-                    ))),
-                );
-            };
-            if seen[offset] {
-                return (
-                    got,
-                    Some(ClientError::Protocol(format!(
-                        "duplicate response for id {}",
-                        response.id
-                    ))),
-                );
-            }
-            seen[offset] = true;
-            got.push((offset, response));
-        }
-        (got, None)
+        self.writer.write_all(lines.as_bytes())?;
+        Ok(self.writer.flush()?)
     }
 
-    /// Fetches a metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a stats payload.
-    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        match self.request(RequestKind::Stats)?.result {
-            ResponseKind::Stats(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a stats payload, got {other:?}"
-            ))),
+    /// Reads one response of the batch whose ids start at `first_id`
+    /// and returns it with its offset into the batch; `seen` marks the
+    /// offsets already answered.
+    fn read_response(
+        &mut self,
+        first_id: u64,
+        seen: &mut [bool],
+    ) -> Result<(usize, Response), ClientError> {
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
+            return Err(ClientError::Torn(
+                "server closed the connection mid-batch".to_string(),
+            ));
         }
-    }
-
-    /// Fetches a durability health snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a health payload.
-    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        match self.request(RequestKind::Health)?.result {
-            ResponseKind::Health(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a health payload, got {other:?}"
-            ))),
+        let response: Response = serde_json::from_str(line.trim_end())
+            .map_err(|e| ClientError::Torn(format!("unparseable response: {e}")))?;
+        if response.schema_version != SCHEMA_VERSION {
+            return Err(ClientError::Protocol(format!(
+                "response schema_version {}, expected {SCHEMA_VERSION}",
+                response.schema_version
+            )));
         }
-    }
-
-    /// Fetches a cluster health snapshot (per-shard rows + aggregate).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a cluster-health payload.
-    pub fn cluster_health(&mut self) -> Result<ClusterHealthReport, ClientError> {
-        match self.request(RequestKind::ClusterHealth)?.result {
-            ResponseKind::ClusterHealth(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a cluster-health payload, got {other:?}"
-            ))),
+        let offset = response
+            .id
+            .checked_sub(first_id)
+            .map(|o| o as usize)
+            .filter(|&o| o < seen.len())
+            .ok_or_else(|| {
+                ClientError::Protocol(format!("response for unknown id {}", response.id))
+            })?;
+        if std::mem::replace(&mut seen[offset], true) {
+            return Err(ClientError::Protocol(format!(
+                "duplicate response for id {}",
+                response.id
+            )));
         }
-    }
-
-    /// Classifies an empirical detector against a fault regime.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a classification verdict.
-    pub fn classify(&mut self, spec: ClassifySpec) -> Result<RegimeVerdict, ClientError> {
-        match self.request(RequestKind::Classify(spec))?.result {
-            ResponseKind::Classify(verdict) => Ok(verdict),
-            other => Err(ClientError::Protocol(format!(
-                "expected a classification verdict, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Sends a heartbeat probe (schema v6); returns the server's
-    /// generation from the response envelope. Answered inline by the
-    /// server, never queued behind compute — this is the detector
-    /// plane's liveness signal.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], plus [`ClientError::Protocol`] when the
-    /// server answers with anything but a pong.
-    pub fn ping(&mut self) -> Result<u64, ClientError> {
-        let response = self.request(RequestKind::Ping)?;
-        match response.result {
-            ResponseKind::Pong => Ok(response.generation),
-            other => Err(ClientError::Protocol(format!(
-                "expected a pong, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Asks the server to drain and exit.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::stats`], for the shutdown acknowledgement.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.request(RequestKind::Shutdown)?.result {
-            ResponseKind::Shutdown => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected a shutdown acknowledgement, got {other:?}"
-            ))),
-        }
+        Ok((offset, response))
     }
 }
+
+/// Pipelines the batch on this one connection, all or nothing.
+impl Call for Client {
+    fn batch_with_options(
+        &mut self,
+        kinds: Vec<(RequestKind, RequestOptions)>,
+    ) -> Result<Vec<Response>, ClientError> {
+        let (mut got, err) = self.batch_attempt(kinds);
+        if let Some(e) = err {
+            return Err(e);
+        }
+        got.sort_unstable_by_key(|&(offset, _)| offset);
+        Ok(got.into_iter().map(|(_, response)| response).collect())
+    }
+}
+
+impl ServerCall for Client {}
 
 /// Retry/backoff policy of a [`HardenedClient`].
 #[derive(Clone, Copy, Debug)]
@@ -430,21 +435,18 @@ impl Default for RetryPolicy {
 
 /// Whether an error means "reconnect and resend" rather than "give up".
 ///
-/// Retriable: any I/O failure (includes deadline expiry), a connection
-/// closed mid-conversation, and a torn/unparseable reply (the signature
-/// of a short write). Not retriable: schema-version mismatches and
-/// id-accounting violations — those mean the peer is not the protocol
+/// Retriable: any I/O failure (includes deadline expiry) and a torn
+/// conversation (a connection closed mid-batch, a torn or unparseable
+/// reply — the signature of a short write — or a short batch). Not
+/// retriable: protocol violations (schema-version mismatches,
+/// id-accounting violations) — those mean the peer is not the protocol
 /// partner we think it is, and resending cannot help.
 fn retriable(err: &ClientError) -> bool {
     match err {
-        ClientError::Io(_) => true,
-        ClientError::Protocol(msg) => {
-            msg.contains("closed the connection")
-                || msg.contains("unparseable response")
-                || msg.contains("empty batch response")
-        }
-        ClientError::RetriesExhausted { .. } => false,
-        ClientError::CircuitOpen { .. } => false,
+        ClientError::Io(_) | ClientError::Torn(_) => true,
+        ClientError::Protocol(_)
+        | ClientError::RetriesExhausted { .. }
+        | ClientError::CircuitOpen { .. } => false,
     }
 }
 
@@ -642,41 +644,23 @@ impl HardenedClient {
         }
         Ok(())
     }
+}
 
-    /// As [`Client::batch`], but masking transport faults and overload.
-    ///
-    /// Returns responses in request order. Typed per-request failures
-    /// other than `Overloaded` (e.g. `BadRequest`) are still *successful*
-    /// responses, exactly as with the plain client. Responses salvaged
-    /// from an attempt that later lost its connection are kept — only
-    /// the still-unanswered requests are resent.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::RetriesExhausted`] when the retry budget runs out;
-    /// non-retriable protocol violations pass through unchanged.
-    pub fn batch(&mut self, kinds: Vec<RequestKind>) -> Result<Vec<Response>, ClientError> {
-        self.batch_with_options(
-            kinds
-                .into_iter()
-                .map(|kind| (kind, RequestOptions::default()))
-                .collect(),
-        )
-    }
-
-    /// As [`HardenedClient::batch`], with per-request [`RequestOptions`].
-    ///
-    /// Only `Overloaded` sheds are retried. A `DeadlineExceeded` error is
-    /// *final* — the request's own time ran out, and a retry would spend
-    /// a fresh deadline on work the caller declared stale — and so is a
-    /// [`ResponseKind::Aborted`] partial (`accept_partial`): both fill
-    /// their slot like any other typed response.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::batch`], plus [`ClientError::CircuitOpen`]
-    /// when the breaker is enabled and open.
-    pub fn batch_with_options(
+/// [`Call::batch_with_options`], masking transport faults and overload.
+///
+/// Returns responses in request order. Typed per-request failures other
+/// than `Overloaded` (e.g. `BadRequest`) are still *successful*
+/// responses, exactly as with the plain client. Responses salvaged from
+/// an attempt that later lost its connection are kept — only the
+/// still-unanswered requests are resent.
+///
+/// Only `Overloaded` sheds are retried. A `DeadlineExceeded` error is
+/// *final* — the request's own time ran out, and a retry would spend a
+/// fresh deadline on work the caller declared stale — and so is a
+/// [`ResponseKind::Aborted`] partial (`accept_partial`): both fill
+/// their slot like any other typed response.
+impl Call for HardenedClient {
+    fn batch_with_options(
         &mut self,
         kinds: Vec<(RequestKind, RequestOptions)>,
     ) -> Result<Vec<Response>, ClientError> {
@@ -783,114 +767,9 @@ impl HardenedClient {
             }
         }
     }
-
-    /// Sends one request, masking faults; the batch of one.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::batch`].
-    pub fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
-        let mut responses = self.batch(vec![kind])?;
-        responses
-            .pop()
-            .ok_or_else(|| ClientError::Protocol("empty batch response".to_string()))
-    }
-
-    /// Sends one request with explicit options, masking faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::batch_with_options`].
-    pub fn request_with_options(
-        &mut self,
-        kind: RequestKind,
-        options: RequestOptions,
-    ) -> Result<Response, ClientError> {
-        let mut responses = self.batch_with_options(vec![(kind, options)])?;
-        responses
-            .pop()
-            .ok_or_else(|| ClientError::Protocol("empty batch response".to_string()))
-    }
-
-    /// Fetches a metrics snapshot, masking faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a stats payload.
-    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        match self.request(RequestKind::Stats)?.result {
-            ResponseKind::Stats(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a stats payload, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches a durability health snapshot, masking faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a health payload.
-    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        match self.request(RequestKind::Health)?.result {
-            ResponseKind::Health(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a health payload, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches a cluster health snapshot, masking faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a cluster-health
-    /// payload.
-    pub fn cluster_health(&mut self) -> Result<ClusterHealthReport, ClientError> {
-        match self.request(RequestKind::ClusterHealth)?.result {
-            ResponseKind::ClusterHealth(report) => Ok(report),
-            other => Err(ClientError::Protocol(format!(
-                "expected a cluster-health payload, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Classifies an empirical detector against a fault regime, masking
-    /// faults (classification is deterministic per spec and memoized, so
-    /// a resend is harmless).
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::request`], plus [`ClientError::Protocol`]
-    /// when the server answers with anything but a classification
-    /// verdict.
-    pub fn classify(&mut self, spec: ClassifySpec) -> Result<RegimeVerdict, ClientError> {
-        match self.request(RequestKind::Classify(spec))?.result {
-            ResponseKind::Classify(verdict) => Ok(verdict),
-            other => Err(ClientError::Protocol(format!(
-                "expected a classification verdict, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Asks the server to drain and exit, masking faults (shutdown is
-    /// idempotent, so a resend is harmless).
-    ///
-    /// # Errors
-    ///
-    /// As [`HardenedClient::stats`], for the shutdown acknowledgement.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.request(RequestKind::Shutdown)?.result {
-            ResponseKind::Shutdown => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected a shutdown acknowledgement, got {other:?}"
-            ))),
-        }
-    }
 }
+
+impl ServerCall for HardenedClient {}
 
 #[cfg(test)]
 mod tests {
@@ -932,11 +811,14 @@ mod tests {
             std::io::ErrorKind::WouldBlock,
             "read deadline expired"
         ))));
-        assert!(retriable(&ClientError::Protocol(
+        assert!(retriable(&ClientError::Torn(
             "server closed the connection mid-batch".to_string()
         )));
-        assert!(retriable(&ClientError::Protocol(
+        assert!(retriable(&ClientError::Torn(
             "unparseable response: EOF while parsing".to_string()
+        )));
+        assert!(retriable(&ClientError::Torn(
+            "empty batch response".to_string()
         )));
         assert!(!retriable(&ClientError::Protocol(
             "response schema_version 9, expected 2".to_string()
@@ -944,11 +826,42 @@ mod tests {
         assert!(!retriable(&ClientError::Protocol(
             "duplicate response for id 3".to_string()
         )));
+        // The variant decides, never the wording of the message.
+        assert!(!retriable(&ClientError::Protocol(
+            "server closed the connection mid-batch".to_string()
+        )));
         assert!(!retriable(&ClientError::RetriesExhausted {
             attempts: 6,
             last: "queue full".to_string()
         }));
         assert!(!retriable(&ClientError::CircuitOpen { cooldown_ms: 250 }));
+    }
+
+    #[test]
+    fn a_closed_or_garbled_conversation_is_torn() {
+        use std::net::TcpListener;
+        // The stub's first connection answers with a garbled line, its
+        // second closes without answering.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+        let addr = listener.local_addr().expect("stub addr").to_string();
+        std::thread::spawn(move || {
+            for (nth, stream) in listener.incoming().enumerate() {
+                let Ok(stream) = stream else { continue };
+                let mut writer = stream.try_clone().expect("clone stub stream");
+                let mut line = String::new();
+                let _ = BufReader::new(stream).read_line(&mut line);
+                if nth == 0 {
+                    let _ = writer.write_all(b"{\"schema_version\":6,\"id\n");
+                }
+            }
+        });
+        for expected in ["unparseable response", "closed the connection"] {
+            let mut c = Client::connect(&addr).expect("connect");
+            match c.request(RequestKind::Ping) {
+                Err(ClientError::Torn(msg)) => assert!(msg.contains(expected), "{msg}"),
+                other => panic!("expected a torn conversation, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //! the direct computation.
 
 use crate::cache::LruCache;
-use crate::client::{ClientError, HardenedClient, RetryPolicy};
+use crate::client::{Call, ClientError, HardenedClient, RetryPolicy, ServerCall};
 use crate::detector::{DetectorConfig, DetectorPlane};
 use crate::failover::{is_shed, stamped, Shards};
 use crate::metrics::StatsReport;
 use crate::ring::HashRing;
 use crate::supervisor::{supervise, SupervisorPolicy, SupervisorReport};
-use crate::wire::{ClusterHealthReport, RequestKind, RequestOptions, Response};
+use crate::wire::{ClusterHealthReport, RequestKind, RequestOptions, Response, ResponseKind};
 use std::io::{BufRead, BufReader};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -169,38 +169,6 @@ impl ClusterClient {
         self.shards.ring()
     }
 
-    /// Sends one request to its owner shard, failing over through the
-    /// ring's replica order when the owner is down, shedding, or
-    /// suspected.
-    ///
-    /// # Errors
-    ///
-    /// The last shard's error when *every* replica was unreachable;
-    /// typed sheds are successful responses (the last one is kept as
-    /// the answer of last resort).
-    pub fn request(&self, kind: RequestKind) -> Result<Response, ClientError> {
-        self.request_with_options(kind, RequestOptions::default())
-    }
-
-    /// As [`ClusterClient::request`], with per-request [`RequestOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterClient::request`].
-    pub fn request_with_options(
-        &self,
-        kind: RequestKind,
-        options: RequestOptions,
-    ) -> Result<Response, ClientError> {
-        let (order, attempted) = self.shards.order(&kind);
-        if let Some(plane) = self.shards.detector() {
-            if order.len() >= 2 && plane.should_hedge(order[0]) {
-                return self.hedged(&kind, options, &order, attempted, plane);
-            }
-        }
-        self.shards.try_order(&kind, options, &order, attempted)
-    }
-
     /// Hedges a request whose primary's φ crossed the soft threshold:
     /// send to the primary, and if no answer lands within the
     /// RTT-derived [`DetectorPlane::hedge_delay`], fire the same request
@@ -295,81 +263,18 @@ impl ClusterClient {
         }
     }
 
-    /// Sends a batch, fanning per-shard sub-batches out in parallel
-    /// (scoped threads, one per first-choice shard: the owner, or its
-    /// failover target when the detector suspects the owner) and merging
-    /// responses back into request order. Requests whose shard fails or
-    /// sheds fail over individually, so one dead shard degrades only its
-    /// own keys' latency, never the whole batch. Batches are not hedged.
-    ///
-    /// # Errors
-    ///
-    /// The first per-request failure in request order, when that request
-    /// exhausted every replica.
-    pub fn batch(&self, kinds: Vec<RequestKind>) -> Result<Vec<Response>, ClientError> {
-        self.batch_with_options(
-            kinds
-                .into_iter()
-                .map(|kind| (kind, RequestOptions::default()))
-                .collect(),
-        )
-    }
-
-    /// As [`ClusterClient::batch`], with per-request [`RequestOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterClient::batch`].
-    pub fn batch_with_options(
-        &self,
-        kinds: Vec<(RequestKind, RequestOptions)>,
-    ) -> Result<Vec<Response>, ClientError> {
-        let orders: Vec<(Vec<usize>, u32)> = kinds
-            .iter()
-            .map(|(kind, _)| self.shards.order(kind))
-            .collect();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.ring().shards()];
-        for (i, (order, _)) in orders.iter().enumerate() {
-            if let Some(&first) = order.first() {
-                by_shard[first].push(i);
-            }
-        }
-        let slots: Vec<Mutex<Option<Result<Response, ClientError>>>> =
-            kinds.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for (shard, indices) in by_shard.iter().enumerate() {
-                if indices.is_empty() {
-                    continue;
-                }
-                let (kinds, orders, slots) = (&kinds, &orders, &slots);
-                scope.spawn(move || {
-                    self.run_sub_batch(shard, indices, kinds, orders, slots);
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(kinds.len());
-        for slot in slots {
-            match slot.into_inner().expect("slot lock poisoned") {
-                Some(Ok(resp)) => out.push(resp),
-                Some(Err(e)) => return Err(e),
-                None => return Err(ClientError::Protocol("batch slot never filled".to_string())),
-            }
-        }
-        Ok(out)
-    }
-
     /// One shard's share of a batch: pipeline the sub-batch to it, then
     /// fail individual sheds (or the whole sub-batch, on transport
     /// failure) over to the rest of each request's replica order,
     /// keeping this shard's typed shed as the answer of last resort.
+    /// Returns one outcome per index, in the order of `indices`.
     fn run_sub_batch(
         &self,
         shard: usize,
         indices: &[usize],
         kinds: &[(RequestKind, RequestOptions)],
         orders: &[(Vec<usize>, u32)],
-        slots: &[Mutex<Option<Result<Response, ClientError>>>],
-    ) {
+    ) -> Vec<Result<Response, ClientError>> {
         // Requests sent here because their owner is suspected already
         // count as failovers.
         self.shards
@@ -387,27 +292,23 @@ impl ClusterClient {
         };
         let sub: Vec<(RequestKind, RequestOptions)> =
             indices.iter().map(|&i| kinds[i].clone()).collect();
-        let outcomes: Vec<Result<Response, ClientError>> =
-            match self.shards.call(shard, |c| c.batch_with_options(sub)) {
-                Ok(responses) if responses.len() == indices.len() => indices
-                    .iter()
-                    .zip(responses)
-                    .map(|(&i, resp)| {
-                        let resp = stamped(resp, shard);
-                        if is_shed(&resp) {
-                            fail_over(i, Some(resp))
-                        } else {
-                            Ok(resp)
-                        }
-                    })
-                    .collect(),
-                // A short response set would be a protocol violation from
-                // HardenedClient; treat it like a transport failure and
-                // re-derive every answer from the replicas.
-                Ok(_) | Err(_) => indices.iter().map(|&i| fail_over(i, None)).collect(),
-            };
-        for (&i, outcome) in indices.iter().zip(outcomes) {
-            *slots[i].lock().expect("slot lock poisoned") = Some(outcome);
+        match self.shards.call(shard, |c| c.batch_with_options(sub)) {
+            Ok(responses) if responses.len() == indices.len() => indices
+                .iter()
+                .zip(responses)
+                .map(|(&i, resp)| {
+                    let resp = stamped(resp, shard);
+                    if is_shed(&resp) {
+                        fail_over(i, Some(resp))
+                    } else {
+                        Ok(resp)
+                    }
+                })
+                .collect(),
+            // A short response set would be a protocol violation from
+            // HardenedClient; treat it like a transport failure and
+            // re-derive every answer from the replicas.
+            Ok(_) | Err(_) => indices.iter().map(|&i| fail_over(i, None)).collect(),
         }
     }
 
@@ -424,7 +325,9 @@ impl ClusterClient {
     #[must_use]
     pub fn cluster_health(&self) -> ClusterHealthReport {
         if self.ring().shards() == 1 {
-            if let Ok(mut report) = self.shards.call(0, HardenedClient::cluster_health) {
+            if let Ok(ResponseKind::ClusterHealth(mut report)) =
+                self.shards.probe(0, RequestKind::ClusterHealth)
+            {
                 if let Some(plane) = self.shards.detector() {
                     plane.annotate(&mut report);
                 }
@@ -462,6 +365,74 @@ impl ClusterClient {
             failovers: self.shards.failovers(),
             worker_restarts: self.shards.restarts(),
         }
+    }
+}
+
+/// Requests route by cache key over the ring and fail over through each
+/// key's replica order when a shard is down, shedding, or suspected.
+/// Typed sheds are successful responses (the last one is kept as the
+/// answer of last resort); a request fails with the last shard's error
+/// only when *every* replica was unreachable. Implemented for
+/// `&ClusterClient`, so that threads share one client:
+/// `(&cluster).request(kind)`.
+impl Call for &ClusterClient {
+    /// A single request (a batch of one) is hedged to the next replica
+    /// when its primary's φ is in the soft band. A larger batch fans
+    /// per-shard sub-batches out in parallel (scoped threads, one per
+    /// first-choice shard: the owner, or its failover target when the
+    /// detector suspects the owner), merges the responses back into
+    /// request order, and is not hedged; one dead shard degrades only
+    /// its own keys' latency. A failure is the first per-request failure
+    /// in request order.
+    fn batch_with_options(
+        &mut self,
+        kinds: Vec<(RequestKind, RequestOptions)>,
+    ) -> Result<Vec<Response>, ClientError> {
+        if let [(kind, options)] = kinds.as_slice() {
+            let (order, attempted) = self.shards.order(kind);
+            let response = match self.shards.detector() {
+                Some(plane) if order.len() >= 2 && plane.should_hedge(order[0]) => {
+                    self.hedged(kind, *options, &order, attempted, plane)
+                }
+                _ => self.shards.try_order(kind, *options, &order, attempted),
+            };
+            return Ok(vec![response?]);
+        }
+        let orders: Vec<(Vec<usize>, u32)> = kinds
+            .iter()
+            .map(|(kind, _)| self.shards.order(kind))
+            .collect();
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.ring().shards()];
+        for (i, (order, _)) in orders.iter().enumerate() {
+            if let Some(&first) = order.first() {
+                by_shard[first].push(i);
+            }
+        }
+        // Only a request with no replica at all is never sent.
+        let mut slots: Vec<Result<Response, ClientError>> = kinds
+            .iter()
+            .map(|_| Err(ClientError::Protocol("cluster has no shards".to_string())))
+            .collect();
+        std::thread::scope(|scope| {
+            let subs: Vec<_> = by_shard
+                .iter()
+                .enumerate()
+                .filter(|(_, indices)| !indices.is_empty())
+                .map(|(shard, indices)| {
+                    let (client, kinds, orders) = (*self, &kinds, &orders);
+                    let sub =
+                        scope.spawn(move || client.run_sub_batch(shard, indices, kinds, orders));
+                    (indices, sub)
+                })
+                .collect();
+            for (indices, sub) in subs {
+                let outcomes = sub.join().expect("sub-batch thread panicked");
+                for (&i, outcome) in indices.iter().zip(outcomes) {
+                    slots[i] = outcome;
+                }
+            }
+        });
+        slots.into_iter().collect()
     }
 }
 
@@ -712,8 +683,8 @@ mod tests {
         let cluster = ClusterClient::new(Arc::clone(&membership), quick_policy());
 
         let kinds: Vec<RequestKind> = (0..6).map(cheap_cell).collect();
-        let cold = cluster.batch(kinds.clone()).expect("cold batch");
-        let warm = cluster.batch(kinds.clone()).expect("warm batch");
+        let cold = (&cluster).batch(kinds.clone()).expect("cold batch");
+        let warm = (&cluster).batch(kinds.clone()).expect("warm batch");
         assert_eq!(cold.len(), 6);
         for ((kind, cold), warm) in kinds.iter().zip(&cold).zip(&warm) {
             // The router stamp matches the ring, both passes.
@@ -751,7 +722,9 @@ mod tests {
             kinds.iter().any(|k| cluster.route(k) == 1),
             "test needs at least one key owned by the dead shard"
         );
-        let responses = cluster.batch(kinds.clone()).expect("batch with failover");
+        let responses = (&cluster)
+            .batch(kinds.clone())
+            .expect("batch with failover");
         for (kind, resp) in kinds.iter().zip(&responses) {
             // Every answer came from the live shard, including the dead
             // shard's keys, and every answer is a real payload.
@@ -785,24 +758,31 @@ mod tests {
             "127.0.0.1:1".to_string(),
         ]));
         let cluster = ClusterClient::new(membership, quick_policy());
-        let kind = (0..64)
+        // Two keys, so that the batch takes the sub-batch path (a batch
+        // of one is sent as a single request).
+        let owned: Vec<RequestKind> = (0..64)
             .map(cheap_cell)
-            .find(|k| cluster.route(k) == 0)
-            .expect("some key is owned by the live shard");
+            .filter(|k| cluster.route(k) == 0)
+            .take(2)
+            .collect();
+        assert_eq!(owned.len(), 2, "two keys are owned by the live shard");
         // A zero deadline is shed at admission, before any compute.
         let shed_now = RequestOptions {
             deadline_ms: Some(0),
             ..RequestOptions::default()
         };
-        let responses = cluster
-            .batch_with_options(vec![(kind, shed_now)])
+        let responses = (&cluster)
+            .batch_with_options(owned.into_iter().map(|k| (k, shed_now)).collect())
             .expect("the owner's typed shed is the answer of last resort");
-        let ResponseKind::Error(e) = &responses[0].result else {
-            panic!("expected a typed shed, got {:?}", responses[0].result);
-        };
-        assert_eq!(e.code, ErrorCode::DeadlineExceeded);
-        assert_eq!(responses[0].shard, Some(0), "the shed names its shard");
-        assert_eq!(cluster.metrics().failovers, 1);
+        assert_eq!(responses.len(), 2);
+        for resp in &responses {
+            let ResponseKind::Error(e) = &resp.result else {
+                panic!("expected a typed shed, got {:?}", resp.result);
+            };
+            assert_eq!(e.code, ErrorCode::DeadlineExceeded);
+            assert_eq!(resp.shard, Some(0), "the shed names its shard");
+        }
+        assert_eq!(cluster.metrics().failovers, 2, "one failover per request");
         server.shutdown();
     }
 
@@ -816,10 +796,10 @@ mod tests {
         let membership = Arc::new(Membership::new(vec!["127.0.0.1:1".to_string()]));
         let cluster = ClusterClient::new(Arc::clone(&membership), quick_policy());
         // All shards dead: the transport error surfaces.
-        assert!(cluster.request(cheap_cell(0)).is_err());
+        assert!((&cluster).request(cheap_cell(0)).is_err());
         // The shard re-announces (as a fleet supervisor would record).
         membership.set_addr(0, a.addr().to_string());
-        let resp = cluster.request(cheap_cell(0)).expect("healed");
+        let resp = (&cluster).request(cheap_cell(0)).expect("healed");
         assert!(matches!(resp.result, ResponseKind::Cell(_)));
         a.shutdown();
     }

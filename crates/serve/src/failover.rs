@@ -19,7 +19,7 @@
 //! failovers) each check out their own connection instead of queueing
 //! behind one.
 
-use crate::client::{ClientError, HardenedClient, RetryPolicy};
+use crate::client::{Call, Client, ClientError, HardenedClient, RetryPolicy};
 use crate::cluster::{ClusterClient, Membership};
 use crate::detector::{DetectorConfig, DetectorPlane};
 use crate::ring::HashRing;
@@ -182,10 +182,7 @@ impl Shards {
         // older worker's.
         let after = client.last_generation();
         if let Some(generation) = after.filter(|_| after != before) {
-            let old = self.last_gen[shard].swap(generation, Ordering::SeqCst);
-            if old != GEN_UNSEEN && old != generation {
-                self.restarts.fetch_add(1, Ordering::SeqCst);
-            }
+            self.note_generation(shard, generation);
         }
         let mut idle = self.idle[shard].lock().expect("conn pool lock poisoned");
         if idle.len() < POOL_PER_SHARD && client.addr() == self.membership.addr(shard) {
@@ -194,9 +191,37 @@ impl Shards {
         out
     }
 
+    /// Sends `kind` to `shard` once, on a fresh connection that may
+    /// spend one [`RetryPolicy::request_timeout`] and no retry budget,
+    /// and folds the answer's generation into restart tracking. For
+    /// probes: a shard that accepts connections but never answers holds
+    /// its caller for one timeout, not `max_retries + 1` of them plus
+    /// backoff.
+    pub(crate) fn probe(
+        &self,
+        shard: usize,
+        kind: RequestKind,
+    ) -> Result<ResponseKind, ClientError> {
+        let timeout = Some(self.policy.request_timeout);
+        let response =
+            Client::connect_with_timeout(self.membership.addr(shard), timeout)?.request(kind)?;
+        self.note_generation(shard, response.generation);
+        Ok(response.result)
+    }
+
+    /// Records a generation read from `shard`; a change from the last
+    /// one seen is a worker restart.
+    fn note_generation(&self, shard: usize, generation: u64) {
+        let old = self.last_gen[shard].swap(generation, Ordering::SeqCst);
+        if old != GEN_UNSEEN && old != generation {
+            self.restarts.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     /// Live per-shard health probes, aggregated and annotated with the
-    /// detector plane's suspicion readings. Probes run on scoped threads
-    /// so one dead shard's timeout does not stack onto the rest; an
+    /// detector plane's suspicion readings. Each shard gets one
+    /// [`Shards::probe`], and the probes run on scoped threads, so a
+    /// silent shard holds the report for one request timeout; an
     /// unreachable shard's row carries its last observed generation, so
     /// the report never blocks on — or lies about — a dead worker.
     pub(crate) fn cluster_health(&self) -> ClusterHealthReport {
@@ -210,11 +235,11 @@ impl Shards {
                 .map(|shard| {
                     scope.spawn(move || {
                         let addr = self.membership.addr(shard);
-                        match self.call(shard, HardenedClient::health) {
-                            Ok(report) => {
+                        match self.probe(shard, RequestKind::Health) {
+                            Ok(ResponseKind::Health(report)) => {
                                 ShardHealth::new(shard, addr, true, report.generation, Some(report))
                             }
-                            Err(_) => unreachable(shard),
+                            _ => unreachable(shard),
                         }
                     })
                 })

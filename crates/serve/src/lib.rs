@@ -33,6 +33,13 @@
 //!   reconnect-and-resend strategy never causes duplicate work; a
 //!   test-only [`server::ServerFaults`] hook injects delayed, severed
 //!   and short-write responses to prove it.
+//! * **One request surface** — the three clients are layers over one
+//!   trait, [`client::Call`]: the plain [`client::Client`] (one
+//!   pipelined connection), the fault-masking [`client::HardenedClient`]
+//!   around it, and the sharded [`cluster::ClusterClient`] over pooled
+//!   hardened connections. [`client::ServerCall`] adds the server-scoped
+//!   accessors (`stats`, `health`, `ping`, …) to the one-connection
+//!   layers only; a cluster names its fleet-wide forms instead.
 //! * **Crash-restart durability** — with a data directory configured
 //!   ([`server::ServeConfig::data_dir`]), the scenario cache is
 //!   periodically snapshotted through [`ktudc_store::SnapshotStore`]
@@ -86,7 +93,9 @@ pub mod wire;
 pub use admission::{AimdConfig, AimdController, JobRegistry};
 pub use audit::{AuditReport, Auditor, FailureCount};
 pub use chaosnet::{chaos_proxy, ChaosProxy, ChaosStatsSnapshot, Direction, Toxic, ToxicPlan};
-pub use client::{Client, ClientError, ClientEvent, ClientMetrics, HardenedClient, RetryPolicy};
+pub use client::{
+    Call, Client, ClientError, ClientEvent, ClientMetrics, HardenedClient, RetryPolicy, ServerCall,
+};
 pub use cluster::{launch_fleet, ClusterClient, ClusterMetrics, Fleet, Membership};
 pub use detector::{DetectorConfig, DetectorPlane, ShardSuspicion};
 pub use metrics::{Endpoint, StatsReport, SuspicionStats};

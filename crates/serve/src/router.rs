@@ -501,7 +501,7 @@ fn elapsed_micros(start: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{Call, Client, ServerCall};
     use crate::cluster::ClusterClient;
     use crate::server::{serve, ServeConfig};
     use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};

@@ -1253,6 +1253,7 @@ fn respond(shared: &Shared, out: &Outbox, version: u32, response: Response) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Call, ServerCall};
     use crate::wire::CheckSpec;
     use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
     use ktudc_epistemic::Formula;

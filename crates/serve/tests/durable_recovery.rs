@@ -9,7 +9,7 @@
 //!   exactly the entries it held.
 
 use ktudc_core::harness::{CellSpec, FdChoice, ProtocolChoice};
-use ktudc_serve::{serve, Client, RequestKind, ServeConfig};
+use ktudc_serve::{serve, Call, Client, RequestKind, ServeConfig};
 use ktudc_sim::{
     explore_spec_checkpointed, resume_checkpoint, run_explore_spec, system_digest, ExploreSpec,
 };

@@ -18,8 +18,8 @@
 use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc_fd::{condense_class, EmpiricalClass};
 use ktudc_serve::{
-    chaos_proxy, serve, Auditor, ChaosProxy, Client, ClusterClient, DetectorConfig, HashRing,
-    Membership, RequestKind, ResponseKind, RetryPolicy, ServeConfig, Toxic, ToxicPlan,
+    chaos_proxy, serve, Auditor, Call, ChaosProxy, Client, ClusterClient, DetectorConfig, HashRing,
+    Membership, RequestKind, ResponseKind, RetryPolicy, ServeConfig, ServerCall, Toxic, ToxicPlan,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,7 +138,7 @@ fn every_wire_regime_classifies_the_live_plane_and_passes_its_audit() {
         if regime == "clean" {
             for kind in &kinds {
                 let t = Instant::now();
-                match cluster.request_with_options(kind.clone(), Default::default()) {
+                match (&cluster).request_with_options(kind.clone(), Default::default()) {
                     Ok(r) => audit.record_response(kind, &r, t.elapsed()),
                     Err(e) => audit.record_client_error(kind, &e, t.elapsed()),
                 }
@@ -189,7 +189,7 @@ fn every_wire_regime_classifies_the_live_plane_and_passes_its_audit() {
         // fail over proactively, everything is answered.
         for kind in &kinds {
             let t = Instant::now();
-            let response = cluster
+            let response = (&cluster)
                 .request_with_options(kind.clone(), Default::default())
                 .expect("campaign request under suspicion");
             assert_ne!(

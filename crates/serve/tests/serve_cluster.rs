@@ -13,9 +13,9 @@
 
 use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc_serve::{
-    launch_fleet, serve, serve_router, supervise, Client, ClientError, ClusterClient, ErrorCode,
-    Membership, RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig,
-    SupervisorPolicy,
+    launch_fleet, serve, serve_router, supervise, Call, Client, ClientError, ClusterClient,
+    ErrorCode, Membership, RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig,
+    ServerCall, SupervisorPolicy,
 };
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -220,7 +220,7 @@ fn partitioned_shard_fails_over_with_zero_wrong_answers() {
     // Two passes: cold, then warm (the failover targets cached the
     // rerouted keys, so the second pass exercises the same routing).
     for pass in 0..2 {
-        let responses = client
+        let responses = (&client)
             .batch(cells.iter().map(|s| RequestKind::Cell(s.clone())).collect())
             .expect("cluster batch");
         for (i, response) in responses.iter().enumerate() {
@@ -302,7 +302,7 @@ fn saturated_cluster_sheds_typed_and_admitted_work_stays_correct() {
                     let mut outcomes = Vec::new();
                     for spec in chunk {
                         let started = Instant::now();
-                        let result = client.request(RequestKind::Cell(spec.clone()));
+                        let result = (&*client).request(RequestKind::Cell(spec.clone()));
                         outcomes.push((spec.clone(), result, started.elapsed()));
                     }
                     outcomes

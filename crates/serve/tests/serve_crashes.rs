@@ -10,7 +10,7 @@
 #![cfg(unix)]
 
 use ktudc_core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
-use ktudc_serve::{Client, RequestKind, ResponseKind};
+use ktudc_serve::{Call, Client, RequestKind, ResponseKind, ServerCall};
 use ktudc_sim::{run_explore_spec, ExploreSpec};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;

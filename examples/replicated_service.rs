@@ -18,7 +18,7 @@
 //! ```
 
 use ktudc::core::harness::{CellSpec, FdChoice, ProtocolChoice};
-use ktudc_serve::{serve, Client, RequestKind, ResponseKind, ServeConfig};
+use ktudc_serve::{serve, Call, Client, RequestKind, ResponseKind, ServeConfig, ServerCall};
 
 fn main() {
     let n = 5; // five replicas

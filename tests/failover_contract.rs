@@ -1,10 +1,11 @@
 //! The failover contract, pinned at the wire against stub shards.
 //!
-//! The router (`serve_router`), `ClusterClient::request` and
-//! `ClusterClient::batch` all route a request along its ring replica
+//! The router (`serve_router`), a `ClusterClient` request and a
+//! `ClusterClient` batch all route a request along its ring replica
 //! order and fail over the same way. Every test below lays out a
 //! three-shard cluster *in replica order* of one fixed key, sends that
-//! key down each of the three paths, and pins what comes back:
+//! key down each of the three paths, and pins what comes back for each
+//! request:
 //!
 //! * the `shard` stamp on the answer;
 //! * the exact `failovers` count (each replica tried after the first);
@@ -13,7 +14,9 @@
 //!   returns as `Ok`;
 //! * only when every replica is unreachable does an error surface
 //!   (the router answers typed `Internal` "every replica failed");
-//! * one generation bump on a shard is exactly one observed restart.
+//! * one generation bump on a shard is exactly one observed restart;
+//! * a shard that accepts connections but never answers holds the
+//!   cluster health report for one request timeout, not a retry budget.
 //!
 //! The stubs speak the public wire types over a plain `TcpListener`, so
 //! nothing here depends on what a real worker computes. A *live* stub
@@ -26,14 +29,15 @@
 
 use ktudc::core::harness::{CellSpec, FdChoice, ProtocolChoice};
 use ktudc_serve::{
-    serve_router, Client, ClientError, ClusterClient, ErrorCode, HashRing, Membership, Request,
-    RequestKind, Response, ResponseKind, RetryPolicy, RouterConfig, RouterHandle,
+    serve, serve_router, Call, Client, ClientError, ClusterClient, ErrorCode, HashRing, Membership,
+    Request, RequestKind, Response, ResponseKind, RetryPolicy, RouterConfig, RouterHandle,
+    ServeConfig, ServerCall,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 3;
 const DEAD: &str = "127.0.0.1:1";
@@ -50,6 +54,9 @@ enum Stub {
 enum Path {
     Router,
     Request,
+    /// The key twice in one batch: a `ClusterClient` sends a batch of
+    /// one as a single (hedgeable) request, so only a larger batch takes
+    /// the per-shard sub-batch path.
     Batch,
 }
 
@@ -170,15 +177,24 @@ impl Sender {
         }
     }
 
-    fn send(&mut self) -> Result<Response, ClientError> {
+    /// Sends the key down this sender's path; one response per request.
+    fn send(&mut self) -> Result<Vec<Response>, ClientError> {
         match self {
-            Sender::Router(_, client) => client.request(key()),
+            Sender::Router(_, client) => client.request(key()).map(|resp| vec![resp]),
             Sender::Cluster(cluster, Path::Batch) => {
-                let mut responses = cluster.batch(vec![key()])?;
-                assert_eq!(responses.len(), 1);
-                Ok(responses.remove(0))
+                let responses = (&*cluster).batch(vec![key(), key()])?;
+                assert_eq!(responses.len(), 2);
+                Ok(responses)
             }
-            Sender::Cluster(cluster, _) => cluster.request(key()),
+            Sender::Cluster(cluster, _) => (&*cluster).request(key()).map(|resp| vec![resp]),
+        }
+    }
+
+    /// How many requests one [`Sender::send`] makes.
+    fn requests(&self) -> u64 {
+        match self {
+            Sender::Cluster(_, Path::Batch) => 2,
+            _ => 1,
         }
     }
 
@@ -197,50 +213,56 @@ impl Sender {
     }
 }
 
-/// Sends the key once down every path over `layout`; returns, per path,
-/// the outcome and the failovers counted.
-fn each_path(layout: [Stub; SHARDS]) -> Vec<(Path, Result<Response, ClientError>, u64)> {
+/// What one send down a path returned: the outcome, the failovers
+/// counted, and how many requests the send made.
+type Sent = (Path, Result<Vec<Response>, ClientError>, u64, u64);
+
+/// Sends the key once down every path over `layout`.
+fn each_path(layout: [Stub; SHARDS]) -> Vec<Sent> {
     PATHS
         .iter()
         .map(|&path| {
             let (membership, _) = cluster(layout);
             let mut sender = Sender::new(path, membership);
             let outcome = sender.send();
-            (path, outcome, sender.failovers())
+            (path, outcome, sender.failovers(), sender.requests())
         })
         .collect()
 }
 
-/// Asserts every path answered `Pong` from replica `position` after
-/// exactly `failovers` failovers.
+/// Asserts every request on every path was answered `Pong` by replica
+/// `position` after exactly `failovers` failovers.
 fn assert_answered_by(layout: [Stub; SHARDS], position: usize, failovers: u64) {
     let shard = replica_order()[position];
-    for (path, outcome, counted) in each_path(layout) {
-        let resp = outcome.unwrap_or_else(|e| panic!("{path:?}: expected an answer, got {e}"));
-        assert_eq!(resp.result, ResponseKind::Pong, "{path:?}");
-        assert_eq!(resp.shard, Some(shard), "{path:?}: shard stamp");
-        assert_eq!(counted, failovers, "{path:?}: failovers");
+    for (path, outcome, counted, requests) in each_path(layout) {
+        let responses = outcome.unwrap_or_else(|e| panic!("{path:?}: expected an answer, got {e}"));
+        for resp in responses {
+            assert_eq!(resp.result, ResponseKind::Pong, "{path:?}");
+            assert_eq!(resp.shard, Some(shard), "{path:?}: shard stamp");
+        }
+        assert_eq!(counted, failovers * requests, "{path:?}: failovers");
     }
 }
 
-/// Asserts every path returned replica `position`'s typed shed as `Ok`
-/// after trying every replica; returns each path's answer.
+/// Asserts every request on every path returned replica `position`'s
+/// typed shed as `Ok` after trying every replica; returns each answer.
 fn assert_shed_by(layout: [Stub; SHARDS], position: usize) -> Vec<(Path, Response)> {
     let shard = replica_order()[position];
-    each_path(layout)
-        .into_iter()
-        .map(|(path, outcome, counted)| {
-            let resp =
-                outcome.unwrap_or_else(|e| panic!("{path:?}: expected a typed shed, got {e}"));
+    let mut answers = Vec::new();
+    for (path, outcome, counted, requests) in each_path(layout) {
+        let responses =
+            outcome.unwrap_or_else(|e| panic!("{path:?}: expected a typed shed, got {e}"));
+        for resp in responses {
             let ResponseKind::Error(e) = &resp.result else {
                 panic!("{path:?}: expected a typed shed, got {:?}", resp.result);
             };
             assert_eq!(e.code, ErrorCode::DeadlineExceeded, "{path:?}");
             assert_eq!(e.message, format!("shard {shard} shed"), "{path:?}");
-            assert_eq!(counted, 2, "{path:?}: every replica was tried");
-            (path, resp)
-        })
-        .collect()
+            answers.push((path, resp));
+        }
+        assert_eq!(counted, 2 * requests, "{path:?}: every replica was tried");
+    }
+    answers
 }
 
 #[test]
@@ -275,20 +297,16 @@ fn every_replica_shedding_returns_the_last_replicas_shed() {
 fn a_shed_outlives_unreachable_replicas() {
     let owner = replica_order()[0];
     for (path, resp) in assert_shed_by([Stub::Shedding, Stub::Dead, Stub::Dead], 0) {
-        // The batch path's stamp on an owner shed kept through its
-        // sub-batch is pinned by the cluster module's unit tests.
-        if !matches!(path, Path::Batch) {
-            assert_eq!(resp.shard, Some(owner), "{path:?}: shard stamp");
-        }
+        assert_eq!(resp.shard, Some(owner), "{path:?}: shard stamp");
     }
 }
 
 #[test]
 fn every_replica_dead_is_an_error() {
-    for (path, outcome, counted) in each_path([Stub::Dead, Stub::Dead, Stub::Dead]) {
+    for (path, outcome, counted, requests) in each_path([Stub::Dead, Stub::Dead, Stub::Dead]) {
         match path {
             Path::Router => {
-                let resp = outcome.expect("the router itself answers");
+                let resp = outcome.expect("the router itself answers").remove(0);
                 let ResponseKind::Error(e) = &resp.result else {
                     panic!("router: expected a typed error, got {:?}", resp.result);
                 };
@@ -304,7 +322,7 @@ fn every_replica_dead_is_an_error() {
                 assert!(outcome.is_err(), "{path:?}: expected an error");
             }
         }
-        assert_eq!(counted, 2, "{path:?}: every replica was tried");
+        assert_eq!(counted, 2 * requests, "{path:?}: every replica was tried");
     }
 }
 
@@ -315,17 +333,69 @@ fn one_generation_bump_is_one_restart() {
         let (membership, generations) = cluster([Stub::Live, Stub::Live, Stub::Live]);
         let mut sender = Sender::new(path, membership);
         for _ in 0..2 {
-            let resp = sender.send().expect("live answer");
-            assert_eq!(resp.generation, 1, "{path:?}");
+            for resp in sender.send().expect("live answer") {
+                assert_eq!(resp.generation, 1, "{path:?}");
+            }
         }
         assert_eq!(sender.restarts(), 0, "{path:?}: no restart yet");
         generations[owner].store(2, Ordering::SeqCst);
         for _ in 0..2 {
-            let resp = sender.send().expect("live answer");
-            assert_eq!(resp.generation, 2, "{path:?}");
-            assert_eq!(resp.shard, Some(owner), "{path:?}");
+            for resp in sender.send().expect("live answer") {
+                assert_eq!(resp.generation, 2, "{path:?}");
+                assert_eq!(resp.shard, Some(owner), "{path:?}");
+            }
         }
         assert_eq!(sender.restarts(), 1, "{path:?}: exactly one restart");
         assert_eq!(sender.failovers(), 0, "{path:?}");
     }
+}
+
+#[test]
+fn a_silent_shard_costs_cluster_health_one_request_timeout() {
+    // Shard 1 accepts connections and never answers; shard 0 is a real
+    // worker. A retry budget of four attempts would hold the report for
+    // four timeouts plus backoff.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind silent stub");
+    let silent = listener.local_addr().expect("silent addr").to_string();
+    std::thread::spawn(move || {
+        let held: Vec<_> = listener.incoming().collect();
+        drop(held);
+    });
+    let worker = serve(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("worker binds");
+    let membership = Arc::new(Membership::new(vec![worker.addr().to_string(), silent]));
+    let timeout = Duration::from_millis(300);
+    let policy = RetryPolicy {
+        request_timeout: timeout,
+        max_retries: 3,
+        ..policy()
+    };
+    let router = serve_router(
+        &RouterConfig {
+            policy,
+            workers: 1,
+            detector: None,
+            ..RouterConfig::default()
+        },
+        Arc::clone(&membership),
+    )
+    .expect("router binds");
+    let cluster = ClusterClient::new(membership, policy);
+    let mut through_router = Client::connect(router.addr()).expect("connect to router");
+    for path in ["cluster client", "router"] {
+        let start = Instant::now();
+        let report = match path {
+            "router" => through_router.cluster_health().expect("router answers"),
+            _ => cluster.cluster_health(),
+        };
+        let took = start.elapsed();
+        assert!(took < 2 * timeout, "{path}: report took {took:?}");
+        assert!(report.shards[0].reachable, "{path}: the worker answers");
+        assert!(!report.shards[1].reachable, "{path}: the silent shard");
+        assert_eq!(report.reachable_shards, 1, "{path}");
+    }
+    worker.shutdown();
 }

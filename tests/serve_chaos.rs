@@ -12,8 +12,8 @@ use ktudc::epistemic::Formula;
 use ktudc::model::ProcessId;
 use ktudc::sim::{run_explore_spec, ExploreSpec};
 use ktudc_serve::{
-    serve, CheckSpec, ClientError, HardenedClient, RequestKind, Response, ResponseKind,
-    RetryPolicy, ServeConfig, ServerFaults,
+    serve, Call, CheckSpec, ClientError, HardenedClient, RequestKind, Response, ResponseKind,
+    RetryPolicy, ServeConfig, ServerCall, ServerFaults,
 };
 use std::collections::HashSet;
 use std::net::SocketAddr;

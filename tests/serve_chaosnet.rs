@@ -28,9 +28,9 @@
 use ktudc::core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc::sim::{run_explore_spec, ExploreSpec, WireProtocol};
 use ktudc_serve::{
-    chaos_proxy, serve, AuditReport, Auditor, ChaosStatsSnapshot, Client, ClientError, ErrorCode,
-    HardenedClient, Request, RequestKind, Response, ResponseKind, RetryPolicy, ServeConfig,
-    ServerHandle, Toxic, ToxicPlan, MAX_REQUEST_LINE_BYTES,
+    chaos_proxy, serve, AuditReport, Auditor, Call, ChaosStatsSnapshot, Client, ClientError,
+    ErrorCode, HardenedClient, Request, RequestKind, Response, ResponseKind, RetryPolicy,
+    ServeConfig, ServerCall, ServerHandle, Toxic, ToxicPlan, MAX_REQUEST_LINE_BYTES,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -643,7 +643,7 @@ fn the_cluster_client_fails_over_around_a_partitioned_shard() {
         if client.route(&kind) == 0 {
             owned_by_dead_shard += 1;
         }
-        let response = client.request(kind).expect("failover must answer");
+        let response = (&client).request(kind).expect("failover must answer");
         assert_eq!(response.result, ResponseKind::Cell(truth), "scenario {i}");
     }
     assert!(

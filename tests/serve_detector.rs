@@ -25,9 +25,9 @@
 
 use ktudc::core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc_serve::{
-    chaos_proxy, serve, Auditor, Client, ClusterClient, DetectorConfig, HashRing, Membership,
-    RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig, ServerHandle, Toxic,
-    ToxicPlan,
+    chaos_proxy, serve, Auditor, Call, Client, ClusterClient, DetectorConfig, HashRing, Membership,
+    RequestKind, ResponseKind, RetryPolicy, RouterConfig, ServeConfig, ServerCall, ServerHandle,
+    Toxic, ToxicPlan,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -162,7 +162,7 @@ fn suspicion_drives_failover_hedging_and_readmission_under_partition() {
         );
         for kind in &kinds {
             let started = Instant::now();
-            match cluster.request_with_options((*kind).clone(), Default::default()) {
+            match (&cluster).request_with_options((*kind).clone(), Default::default()) {
                 Ok(resp) => audit.record_response(kind, &resp, started.elapsed()),
                 Err(e) => audit.record_client_error(kind, &e, started.elapsed()),
             }
@@ -186,7 +186,7 @@ fn suspicion_drives_failover_hedging_and_readmission_under_partition() {
     let proactive_before = plane.stats().proactive_failovers;
     for kind in &kinds {
         let started = Instant::now();
-        let resp = cluster
+        let resp = (&cluster)
             .request_with_options((*kind).clone(), Default::default())
             .expect("an audited request under suspicion must not fail");
         assert_ne!(
@@ -202,13 +202,18 @@ fn suspicion_drives_failover_hedging_and_readmission_under_partition() {
         "every victim-owned key must fail over proactively: {after_campaign:?}"
     );
     // A batch asks the detector too: the victim's keys go straight to a
-    // replica instead of paying the victim's deadline first.
+    // replica instead of paying the victim's deadline first. Each key is
+    // sent twice, so that the batch has at least two requests and takes
+    // the sub-batch path (a batch of one is sent as a single request);
+    // every key is cached by now, so the repeat computes nothing.
+    let batched: Vec<&RequestKind> = victim_owned.iter().flat_map(|&k| [k, k]).collect();
     let batch_before = plane.stats().proactive_failovers;
     let started = Instant::now();
-    let batch = cluster
-        .batch(victim_owned.iter().map(|k| (*k).clone()).collect())
+    let batch = (&cluster)
+        .batch(batched.iter().map(|k| (*k).clone()).collect())
         .expect("a batch under suspicion must not fail");
-    for (kind, resp) in victim_owned.iter().zip(&batch) {
+    assert_eq!(batch.len(), batched.len());
+    for (kind, resp) in batched.iter().zip(&batch) {
         assert_ne!(
             resp.shard,
             Some(victim),
@@ -218,7 +223,7 @@ fn suspicion_drives_failover_hedging_and_readmission_under_partition() {
     }
     let after_batch = plane.stats();
     assert!(
-        after_batch.proactive_failovers >= batch_before + victim_owned.len() as u64,
+        after_batch.proactive_failovers >= batch_before + batched.len() as u64,
         "every victim-owned key in a batch must fail over proactively: {after_batch:?}"
     );
 
@@ -267,7 +272,7 @@ fn suspicion_drives_failover_hedging_and_readmission_under_partition() {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let started = Instant::now();
-            let resp = cluster
+            let resp = (&cluster)
                 .request_with_options((*kind).clone(), Default::default())
                 .expect("readmitted cluster must serve");
             audit.record_response(kind, &resp, started.elapsed());

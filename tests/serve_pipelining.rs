@@ -7,7 +7,7 @@
 
 use ktudc::core::harness::{run_cell, CellSpec, FdChoice, ProtocolChoice};
 use ktudc_serve::{
-    serve, serve_router, Client, ClusterClient, ErrorCode, HashRing, Membership, Request,
+    serve, serve_router, Call, Client, ClusterClient, ErrorCode, HashRing, Membership, Request,
     RequestKind, Response, ResponseKind, RetryPolicy, RouterConfig, RouterHandle, ServeConfig,
     ServerFaults, ServerHandle, MAX_REQUEST_LINE_BYTES,
 };
