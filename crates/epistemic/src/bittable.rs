@@ -22,10 +22,90 @@
 //! Padding bits are **don't-care**: operations never read them (range
 //! scans stay inside runs) and `not_inplace` may flip them. Equality,
 //! counting, and extraction mask them off.
+//!
+//! # Buffer reuse
+//!
+//! A dropped table hands its word buffer to a per-thread spare list, and a
+//! new table of the same length takes one from there before asking the
+//! allocator. A second checker over the same system, on the same thread,
+//! then builds every table in pages that are already resident. Without the
+//! list, the allocator may give a checker's freed buffers back to the OS
+//! (glibc trims its heap, or unmaps large chunks), and the next checker's
+//! first write to each page faults. The list holds buffers of one length
+//! only (a table of another length drops them), and at most 64 MiB.
 
 use ktudc_model::{System, Time};
+use std::cell::RefCell;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
+
+/// The most bytes of spare word buffers one thread keeps.
+const SPARE_CAP_BYTES: usize = 64 << 20;
+
+/// A thread's spare word buffers, all `words` long.
+#[derive(Default)]
+struct Spares {
+    words: usize,
+    buffers: Vec<Vec<u64>>,
+}
+
+thread_local! {
+    static SPARES: RefCell<Spares> = RefCell::new(Spares::default());
+}
+
+/// A spare buffer of `len` words, if this thread holds one.
+fn take_spare(len: usize) -> Option<Vec<u64>> {
+    SPARES
+        .try_with(|s| {
+            let mut s = s.borrow_mut();
+            if s.words == len {
+                s.buffers.pop()
+            } else {
+                None
+            }
+        })
+        .ok()
+        .flatten()
+}
+
+/// `len` words set to `fill`, from a spare buffer when there is one.
+fn words_filled(len: usize, fill: u64) -> Vec<u64> {
+    match take_spare(len) {
+        Some(mut words) => {
+            words.fill(fill);
+            words
+        }
+        None => vec![fill; len],
+    }
+}
+
+/// Keeps `words` for the next table of its length, within the cap; a
+/// buffer of another length than the ones held replaces them.
+fn give_spare(words: Vec<u64>) {
+    if words.is_empty() {
+        return;
+    }
+    // During thread teardown the list is gone and the buffer is freed.
+    let _ = SPARES.try_with(|s| {
+        let mut s = s.borrow_mut();
+        if s.words != words.len() {
+            s.buffers.clear();
+            s.words = words.len();
+        }
+        if (s.buffers.len() + 1) * s.words * 8 <= SPARE_CAP_BYTES {
+            s.buffers.push(words);
+        }
+    });
+}
+
+/// Bytes of spare buffers this thread holds.
+#[cfg(test)]
+pub(crate) fn spare_bytes() -> usize {
+    SPARES.with(|s| {
+        let s = s.borrow();
+        s.buffers.len() * s.words * 8
+    })
+}
 
 /// The bit layout of a system's points: the first bit of each run. Shared
 /// (via `Arc`) by every table of one checker.
@@ -111,10 +191,32 @@ impl Layout {
 }
 
 /// A truth table over all points of a system, packed one bit per point.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BitTable {
     layout: Arc<Layout>,
     words: Vec<u64>,
+}
+
+impl Clone for BitTable {
+    fn clone(&self) -> Self {
+        let words = match take_spare(self.words.len()) {
+            Some(mut words) => {
+                words.copy_from_slice(&self.words);
+                words
+            }
+            None => self.words.clone(),
+        };
+        BitTable {
+            layout: Arc::clone(&self.layout),
+            words,
+        }
+    }
+}
+
+impl Drop for BitTable {
+    fn drop(&mut self) {
+        give_spare(std::mem::take(&mut self.words));
+    }
 }
 
 impl BitTable {
@@ -128,7 +230,7 @@ impl BitTable {
     #[must_use]
     pub fn filled(layout: Arc<Layout>, value: bool) -> Self {
         let fill = if value { u64::MAX } else { 0 };
-        let words = vec![fill; layout.word_count()];
+        let words = words_filled(layout.word_count(), fill);
         BitTable { layout, words }
     }
 
@@ -498,6 +600,35 @@ mod tests {
         let t = BitTable::from_bools(Arc::clone(&l), &bools);
         assert_eq!(t.to_bools(), bools);
         assert_eq!(t.count_ones(), bools.iter().filter(|&&b| b).count());
+    }
+
+    #[test]
+    fn spares_start_empty_and_stay_bounded() {
+        std::thread::spawn(|| {
+            assert_eq!(
+                spare_bytes(),
+                0,
+                "a thread that built no table holds spares"
+            );
+            // 1 MiB tables, one more than the cap holds.
+            let l = layout(&[8 << 20]);
+            let tables: Vec<BitTable> = (0..=SPARE_CAP_BYTES >> 20)
+                .map(|_| BitTable::zeros(Arc::clone(&l)))
+                .collect();
+            drop(tables);
+            assert_eq!(spare_bytes(), SPARE_CAP_BYTES);
+            // A reused buffer is refilled, and a clone gets its own copy.
+            let ones = BitTable::filled(Arc::clone(&l), true);
+            assert_eq!(ones.count_ones(), 8 << 20);
+            let copy = ones.clone();
+            assert_eq!(copy, ones);
+            drop((ones, copy));
+            // A table of another length releases the spares it cannot use.
+            drop(BitTable::zeros(layout(&[64])));
+            assert_eq!(spare_bytes(), 8);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -474,6 +474,7 @@ fn first_event_tick<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bittable::spare_bytes;
     use ktudc_model::{ActionId, RunBuilder};
 
     fn p(i: usize) -> ProcessId {
@@ -757,5 +758,41 @@ mod tests {
         for (m, &want) in expected.iter().enumerate() {
             assert_eq!(mc.eval(&susp, Point::new(0, m as Time)), want, "tick {m}");
         }
+    }
+
+    /// A second checker over the same system, on the same thread, builds
+    /// every table in a buffer the first checker left behind.
+    #[test]
+    fn a_second_checker_takes_every_table_from_the_spares() {
+        std::thread::spawn(|| {
+            let sys = lost_message_system();
+            let crash = Formula::crashed(p(1));
+            let sent = Formula::sent(p(0), p(1), "m");
+            let battery = [
+                Formula::knows(p(0), crash.clone()),
+                Formula::not(Formula::knows(p(1), sent.clone())),
+                Formula::always(Formula::or(vec![crash.clone(), sent.clone()])),
+                Formula::eventually(Formula::and(vec![crash, Formula::True])),
+                Formula::suspects(p(0), p(1)),
+            ];
+            let run = |mc: &mut ModelChecker<'_, &str>| -> Vec<Result<(), Point>> {
+                battery.iter().map(|f| mc.valid(f)).collect()
+            };
+            let mut first = ModelChecker::new(&sys);
+            let verdicts = run(&mut first);
+            let bytes = first.table_bytes();
+            drop(first);
+            assert_eq!(spare_bytes(), bytes, "every table buffer is kept");
+            let mut second = ModelChecker::new(&sys);
+            assert_eq!(run(&mut second), verdicts);
+            assert_eq!(second.table_bytes(), bytes);
+            assert_eq!(
+                spare_bytes(),
+                0,
+                "a table was allocated while a spare was left"
+            );
+        })
+        .join()
+        .unwrap();
     }
 }

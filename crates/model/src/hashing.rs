@@ -1,19 +1,13 @@
-//! Stable hashing for local histories.
+//! Stable hashing for events and runs.
 //!
-//! The indistinguishability index keys local histories by hash. The standard
-//! library's `DefaultHasher` is explicitly unstable across releases and
-//! process invocations are only saved by it currently being unkeyed — too
-//! fragile for something the whole epistemic layer sits on, and previously
-//! this hashing was duplicated ad hoc. [`StableHasher`] is the single
-//! implementation: 64-bit FNV-1a with every integer write widened to
-//! little-endian bytes, so a given event sequence hashes identically on every
-//! platform, forever (pinned by a unit test below).
-//!
-//! Collisions are still possible (any 64-bit hash has them); all lookups in
-//! [`crate::System`] resolve them by exact history comparison, so a collision
-//! can cost time but never correctness.
+//! Run and system digests are compared across processes and builds, and the
+//! standard library's `DefaultHasher` is explicitly unstable across releases
+//! (process invocations are only saved by it currently being unkeyed).
+//! [`StableHasher`] is the single implementation: 64-bit FNV-1a with every
+//! integer write widened to little-endian bytes, so a given event sequence
+//! hashes identically on every platform, forever (pinned by a unit test
+//! below).
 
-use crate::Event;
 use std::hash::{Hash, Hasher};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -111,13 +105,6 @@ pub fn stable_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
-/// Stable hash of a local history prefix — the one hash function behind the
-/// system's indistinguishability index.
-#[must_use]
-pub fn hash_history<M: Hash>(events: &[Event<M>]) -> u64 {
-    stable_hash(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,10 +114,11 @@ mod tests {
     fn history_hash_is_pinned() {
         // Stability pin: these constants must never change. If this test
         // fails, the hash function (or the derived `Hash` of `Event`) has
-        // changed and every persisted or cross-build comparison of history
-        // hashes is silently broken — fix the regression, don't repin.
+        // changed and every persisted or cross-build comparison of event
+        // hashes (run and system digests) is silently broken — fix the
+        // regression, don't repin.
         let empty: &[Event<u16>] = &[];
-        assert_eq!(hash_history(empty), 0xa8c7_f832_281a_39c5);
+        assert_eq!(stable_hash(empty), 0xa8c7_f832_281a_39c5);
 
         let history: Vec<Event<u16>> = vec![
             Event::Send {
@@ -143,7 +131,7 @@ mod tests {
             },
             Event::Crash,
         ];
-        assert_eq!(hash_history(&history), 0xeaf2_3c41_7288_83f2);
+        assert_eq!(stable_hash(&history), 0xeaf2_3c41_7288_83f2);
     }
 
     #[test]
@@ -158,8 +146,8 @@ mod tests {
                 msg: 3,
             },
         ];
-        assert_ne!(hash_history(&history[..1]), hash_history(&history));
-        assert_ne!(hash_history(&history[..0]), hash_history(&history[..1]));
+        assert_ne!(stable_hash(&history[..1]), stable_hash(&history));
+        assert_ne!(stable_hash(&history[..0]), stable_hash(&history[..1]));
     }
 
     #[test]

@@ -5,18 +5,24 @@
 //! `R` with `r′_p(m′) = r_p(m)`. Evaluating `K_p` therefore needs, given a
 //! local history, all points of the system sharing it.
 //!
-//! [`System`] resolves the whole `~_p` relation at construction: every
-//! `(run, process)` timeline is partitioned into contiguous blocks of
-//! constant history, blocks with equal histories (hash first — via the
-//! stable hasher in [`crate::hashing`] — then exact comparison, so
-//! collisions cannot produce wrong answers) are merged into *equivalence
-//! classes*, and each block remembers its class id. A query is then a binary
-//! search plus a slice borrow: no hashing, no history comparison, no
-//! allocation. The epistemic checker leans on this heavily — it evaluates
-//! `K_p` once per class instead of once per point.
+//! [`System`] resolves the whole `~_p` relation at construction, in one pass
+//! per process over a *history trie*. The root is the empty history, and the
+//! child of a node by event `e` is that node's history extended by `e`; each
+//! node is one equivalence class. Walking a run's `p`-history down the trie
+//! visits the classes of its prefixes in order, and because a process's
+//! event ticks strictly increase (R2), each prefix holds on one contiguous
+//! block of ticks, which joins that class. A child is keyed by the event
+//! itself, so two histories reach the same node iff they are equal, with no
+//! history hashed or compared as a whole. Class ids are node ids, assigned
+//! in first-encounter order over (process, run, tick), so they are
+//! deterministic for a given run list.
+//!
+//! A query is then the run's own binary search for the prefix length plus a
+//! slice borrow: no hashing, no history comparison, no allocation. The
+//! epistemic checker leans on this heavily — it evaluates `K_p` once per
+//! class instead of once per point.
 
-use crate::hashing::hash_history;
-use crate::{Point, ProcessId, Run, Time};
+use crate::{Event, Point, ProcessId, Run, Time};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
@@ -80,15 +86,19 @@ pub struct System<M> {
     n: usize,
     /// `classes[cid]` = the blocks of one `~_p` equivalence class, in run
     /// order. Class ids are grouped by process (see `class_offsets`) and
-    /// assigned in first-encounter order over (process, run, tick), so they
-    /// are deterministic for a given run list.
+    /// assigned in first-encounter order over (process, run, tick).
     classes: Vec<Vec<IndistinguishableBlock>>,
     /// `class_offsets[p] .. class_offsets[p + 1]` is the id range of
     /// process `p`'s classes. Length `n + 1`.
     class_offsets: Vec<usize>,
-    /// `run_blocks[p][ri]` = ascending `(block_start, class_id)` pairs
-    /// partitioning `[0, horizon]` of run `ri` for process `p`.
-    run_blocks: Vec<Vec<Vec<(Time, u32)>>>,
+    /// `prefix_classes[prefix_offsets[p · runs + ri] + len]` = the class of
+    /// `p`'s history prefix of length `len` in run `ri`, for `len` in
+    /// `0 ..= events`. A point's prefix length is the run's own binary
+    /// search, so the block start ticks are not stored again.
+    prefix_classes: Vec<u32>,
+    /// Start of each (process, run) segment of `prefix_classes`, plus a
+    /// final entry = its length.
+    prefix_offsets: Vec<u32>,
 }
 
 impl<M: Eq + Hash> System<M> {
@@ -108,65 +118,69 @@ impl<M: Eq + Hash> System<M> {
             runs.iter().all(|r| r.n() == n),
             "all runs of a system must share the same process set"
         );
+        let id = |x: usize| u32::try_from(x).expect("a system index beyond u32::MAX");
+        // One entry per history prefix: `events + 1` per (process, run).
+        let prefixes = runs.iter().map(Run::event_count).sum::<usize>() + n * runs.len();
+        let mut prefix_classes = Vec::with_capacity(prefixes);
+        let mut prefix_offsets = Vec::with_capacity(n * runs.len() + 1);
         let mut classes: Vec<Vec<IndistinguishableBlock>> = Vec::new();
         let mut class_offsets = Vec::with_capacity(n + 1);
         class_offsets.push(0);
-        let mut run_blocks: Vec<Vec<Vec<(Time, u32)>>> = Vec::with_capacity(n);
+        // `p`'s history trie, whose nodes are the classes: the child of
+        // class `c` by event `e` is the class of `c`'s history extended by
+        // `e`. Keyed by the event itself, so no two histories share a node.
+        let mut trie: HashMap<(u32, &Event<M>), u32> = HashMap::new();
+        let mut last_child: Vec<Option<(&Event<M>, u32)>> = Vec::new();
         for p in ProcessId::all(n) {
-            // hash → candidate class ids; exact comparison picks within the
-            // bucket, so collisions merge nothing.
-            let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
-            let mut per_run: Vec<Vec<(Time, u32)>> = Vec::with_capacity(runs.len());
+            trie.clear();
+            let root = id(classes.len());
+            classes.push(Vec::new());
+            last_child.push(None);
             for (ri, run) in runs.iter().enumerate() {
-                let mut table: Vec<(Time, u32)> = Vec::new();
+                prefix_offsets.push(id(prefix_classes.len()));
+                let (mut class, mut from) = (root, 0);
                 // Event ticks partition [0, horizon] into blocks of constant
-                // history.
-                let ticks: Vec<Time> = run.timed_history(p).map(|(t, _)| t).collect();
-                let mut block_start: Time = 0;
-                for (len, boundary) in ticks
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once(run.horizon() + 1))
-                    .enumerate()
-                {
-                    if boundary > block_start {
-                        let history = &run.history(p)[..len];
-                        let candidates = by_hash.entry(hash_history(history)).or_default();
-                        let cid = candidates
-                            .iter()
-                            .copied()
-                            .find(|&c| {
-                                let rep = classes[c as usize][0];
-                                runs[rep.run].history(p)[..rep.len] == *history
-                            })
-                            .unwrap_or_else(|| {
-                                let c = u32::try_from(classes.len())
-                                    .expect("more than u32::MAX history classes");
-                                classes.push(Vec::new());
-                                candidates.push(c);
-                                c
-                            });
-                        classes[cid as usize].push(IndistinguishableBlock {
+                // history, one block per prefix.
+                let ends = run.timed_history(p).map(|(t, e)| (t, Some(e)));
+                for (len, (end, event)) in ends.chain([(run.horizon() + 1, None)]).enumerate() {
+                    if end > from {
+                        classes[class as usize].push(IndistinguishableBlock {
                             run: ri,
-                            from: block_start,
-                            to: boundary - 1,
+                            from,
+                            to: end - 1,
                             len,
                         });
-                        table.push((block_start, cid));
                     }
-                    block_start = boundary;
+                    prefix_classes.push(class);
+                    if let Some(event) = event {
+                        // Runs that share a prefix mostly take the same
+                        // child again: compare before hashing.
+                        class = match last_child[class as usize] {
+                            Some((e, c)) if e == event => c,
+                            _ => {
+                                let c = *trie.entry((class, event)).or_insert_with(|| {
+                                    classes.push(Vec::new());
+                                    last_child.push(None);
+                                    id(classes.len() - 1)
+                                });
+                                last_child[class as usize] = Some((event, c));
+                                c
+                            }
+                        };
+                    }
+                    from = end;
                 }
-                per_run.push(table);
             }
-            run_blocks.push(per_run);
             class_offsets.push(classes.len());
         }
+        prefix_offsets.push(id(prefix_classes.len()));
         System {
             runs,
             n,
             classes,
             class_offsets,
-            run_blocks,
+            prefix_classes,
+            prefix_offsets,
         }
     }
 }
@@ -201,9 +215,8 @@ impl<M> System<M> {
     pub fn class_id(&self, p: ProcessId, run: usize, m: Time) -> u32 {
         let r = &self.runs[run];
         assert!(m <= r.horizon(), "tick {m} beyond horizon {}", r.horizon());
-        let table = &self.run_blocks[p.index()][run];
-        let i = table.partition_point(|&(from, _)| from <= m) - 1;
-        table[i].1
+        let len = r.history_at(p, m).len();
+        self.prefix_classes[self.prefix_offsets[p.index() * self.runs.len() + run] as usize + len]
     }
 
     /// The blocks of equivalence class `id`.

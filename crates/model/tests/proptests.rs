@@ -93,33 +93,58 @@ proptest! {
         prop_assert_eq!(prev, run.faulty());
     }
 
-    /// The system index is consistent with brute-force indistinguishability:
-    /// for random points, the block set returned contains exactly the points
-    /// with equal local history.
+    /// The `~_p` index against its definition, at every point of a system
+    /// of 3–8 scripted runs plus prefixes of some of them (which meet their
+    /// source's histories on other runs). For every process: a point's
+    /// class id is the first-encounter rank, over (run, tick), of its
+    /// history among the distinct histories — found by equality, not by
+    /// any index — so the ids agree with `history_at` equality and are
+    /// dense; and the classes' blocks partition the points, one block per
+    /// class and run.
     #[test]
     fn system_index_matches_bruteforce(
-        s1 in script_strategy(),
-        s2 in script_strategy(),
-        m in 0u64..35,
-        pi in 0usize..4,
+        scripts in proptest::collection::vec(script_strategy(), 3..9),
+        cuts in proptest::collection::vec((0usize..8, 0u64..36), 0..4),
     ) {
-        let sys = System::new(vec![build_from_script(&s1), build_from_script(&s2)]);
-        let p = ProcessId::new(pi);
-        let blocks = sys.indistinguishable_blocks(p, 0, m);
-        let member = |run: usize, t: u64| {
-            blocks.iter().any(|b| b.run == run && b.from <= t && t <= b.to)
-        };
-        let reference = sys.run(0).history_at(p, m);
-        for (ri, run) in sys.runs().iter().enumerate() {
-            for t in 0..=run.horizon() {
-                let equal = run.history_at(p, t) == reference;
-                prop_assert_eq!(
-                    member(ri, t),
-                    equal,
-                    "index and brute force disagree at (r{}, {})", ri, t
-                );
-            }
+        let mut runs: Vec<Run<u16>> = scripts.iter().map(|s| build_from_script(s)).collect();
+        for &(i, m) in &cuts {
+            let prefix = runs[i % scripts.len()].prefix(m);
+            runs.push(prefix);
         }
+        let sys = System::new(runs);
+        let mut next_id = 0;
+        for p in ProcessId::all(4) {
+            let range = sys.class_range(p);
+            prop_assert_eq!(range.start, next_id);
+            let mut histories: Vec<&[Event<u16>]> = Vec::new();
+            for pt in sys.points() {
+                let history = sys.run(pt.run).history_at(p, pt.time);
+                let rank = histories.iter().position(|&h| h == history).unwrap_or_else(|| {
+                    histories.push(history);
+                    histories.len() - 1
+                });
+                let cid = sys.class_id(p, pt.run, pt.time);
+                prop_assert_eq!(cid, range.start + rank as u32, "class of {} for {}", pt, p);
+                prop_assert_eq!(sys.indistinguishable_blocks(p, pt.run, pt.time), sys.class_blocks(cid));
+            }
+            prop_assert_eq!(range.len(), histories.len());
+            let mut covered = 0;
+            for cid in range.clone() {
+                let blocks = sys.class_blocks(cid);
+                prop_assert!(!blocks.is_empty());
+                prop_assert!(blocks.windows(2).all(|w| w[0].run < w[1].run));
+                for b in blocks {
+                    for pt in b.points() {
+                        prop_assert_eq!(sys.class_id(p, pt.run, pt.time), cid);
+                        prop_assert_eq!(sys.run(pt.run).history_at(p, pt.time).len(), b.len);
+                        covered += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(covered, sys.point_count());
+            next_id = range.end;
+        }
+        prop_assert_eq!(next_id as usize, sys.class_count());
     }
 
     /// Suspects_p tracks the most recent standard report at every time.

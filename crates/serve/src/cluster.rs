@@ -321,17 +321,21 @@ impl ClusterClient {
     /// asked for its own `ClusterHealth` view first — the fleet
     /// aggregate is strictly more informative than one `Health` row
     /// about the router itself, and a plain worker answers the same
-    /// request as a one-shard cluster, so nothing is lost either way.
+    /// request as a one-shard cluster, so nothing is lost either way. A
+    /// member that fails that probe on transport is reported unreachable
+    /// at once: a second probe would wait out a second timeout.
     #[must_use]
     pub fn cluster_health(&self) -> ClusterHealthReport {
         if self.ring().shards() == 1 {
-            if let Ok(ResponseKind::ClusterHealth(mut report)) =
-                self.shards.probe(0, RequestKind::ClusterHealth)
-            {
-                if let Some(plane) = self.shards.detector() {
-                    plane.annotate(&mut report);
+            match self.shards.probe(0, RequestKind::ClusterHealth) {
+                Ok(ResponseKind::ClusterHealth(report)) => return self.shards.annotated(report),
+                Err(ClientError::Io(_) | ClientError::Torn(_)) => {
+                    let row = self.shards.unreachable_row(0);
+                    return self
+                        .shards
+                        .annotated(ClusterHealthReport::aggregate(vec![row]));
                 }
-                return report;
+                _ => {}
             }
         }
         self.shards.cluster_health()
@@ -604,6 +608,32 @@ mod tests {
                 .trials(1)
                 .horizon(40 + i),
         )
+    }
+
+    /// A one-member cluster whose member accepts connections but never
+    /// answers costs one request timeout, not a `ClusterHealth` timeout
+    /// and then a `Health` one.
+    #[test]
+    fn a_silent_single_member_costs_one_timeout() {
+        // The kernel completes the handshake into the backlog; nothing
+        // ever reads or answers.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let timeout = Duration::from_millis(300);
+        let membership = Membership::new(vec![silent.local_addr().expect("addr").to_string()]);
+        let policy = RetryPolicy {
+            request_timeout: timeout,
+            ..quick_policy()
+        };
+        let client = ClusterClient::new(Arc::new(membership), policy);
+        let start = Instant::now();
+        let report = client.cluster_health();
+        let spent = start.elapsed();
+        assert_eq!(report.reachable_shards, 0);
+        assert!(!report.shards[0].reachable);
+        assert!(
+            spent < timeout * 3 / 2,
+            "{spent:?} for one member at a {timeout:?} timeout"
+        );
     }
 
     #[test]

@@ -225,11 +225,6 @@ impl Shards {
     /// unreachable shard's row carries its last observed generation, so
     /// the report never blocks on — or lies about — a dead worker.
     pub(crate) fn cluster_health(&self) -> ClusterHealthReport {
-        let unreachable = |shard: usize| {
-            let last = self.last_gen[shard].load(Ordering::SeqCst);
-            let generation = if last == GEN_UNSEEN { 0 } else { last };
-            ShardHealth::new(shard, self.membership.addr(shard), false, generation, None)
-        };
         let rows: Vec<ShardHealth> = std::thread::scope(|scope| {
             let probes: Vec<_> = (0..self.ring.shards())
                 .map(|shard| {
@@ -239,7 +234,7 @@ impl Shards {
                             Ok(ResponseKind::Health(report)) => {
                                 ShardHealth::new(shard, addr, true, report.generation, Some(report))
                             }
-                            _ => unreachable(shard),
+                            _ => self.unreachable_row(shard),
                         }
                     })
                 })
@@ -249,10 +244,23 @@ impl Shards {
             probes
                 .into_iter()
                 .enumerate()
-                .map(|(shard, p)| p.join().unwrap_or_else(|_| unreachable(shard)))
+                .map(|(shard, p)| p.join().unwrap_or_else(|_| self.unreachable_row(shard)))
                 .collect()
         });
-        let mut report = ClusterHealthReport::aggregate(rows);
+        self.annotated(ClusterHealthReport::aggregate(rows))
+    }
+
+    /// The health row of a shard that did not answer: unreachable, with
+    /// the last generation observed from it (0 if none was).
+    pub(crate) fn unreachable_row(&self, shard: usize) -> ShardHealth {
+        let last = self.last_gen[shard].load(Ordering::SeqCst);
+        let generation = if last == GEN_UNSEEN { 0 } else { last };
+        ShardHealth::new(shard, self.membership.addr(shard), false, generation, None)
+    }
+
+    /// `report` with the detector plane's suspicion readings, if a plane
+    /// runs.
+    pub(crate) fn annotated(&self, mut report: ClusterHealthReport) -> ClusterHealthReport {
         if let Some(plane) = &self.detector {
             plane.annotate(&mut report);
         }
