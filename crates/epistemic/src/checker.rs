@@ -84,9 +84,10 @@ impl ClassSpans {
         bounds.push(0);
         for cid in classes {
             for b in system.class_blocks(cid) {
+                let run = b.run as usize;
                 spans.push((
-                    index(layout.bit(b.run, b.from)),
-                    index(layout.bit(b.run, b.to)),
+                    index(layout.bit(run, Time::from(b.from))),
+                    index(layout.bit(run, Time::from(b.to))),
                 ));
             }
             bounds.push(index(spans.len()));

@@ -1,9 +1,15 @@
 //! Runs, run construction, and the conditions R1–R5.
 //!
-//! A run `r` is a function from time to cuts; equivalently (and this is how
-//! we store it) a time-stamped event log per process, from which the cut at
-//! any tick is a derived view. [`RunBuilder`] enforces the *structural*
-//! conditions at append time:
+//! A run `r` is a function from time to cuts; equivalently a time-stamped
+//! event log per process, from which the cut at any tick is a derived view.
+//!
+//! That is how we store it, flat: a [`Run`] keeps every event in one boxed
+//! slice and every tick in another, process after process, so a run costs
+//! at most two allocations whatever `n` is, and a local history is still a
+//! plain `&[Event<M>]`. A [`RunBuilder`] keeps one growable log per process
+//! instead, so that an append and an undo are a push and a pop, and lays
+//! the logs out flat in [`RunBuilder::finish`] and [`RunBuilder::snapshot`].
+//! The builder enforces the *structural* conditions at append time:
 //!
 //! * **R1** — histories start empty (trivially true of an empty log);
 //! * **R2** — per process, at most one event per tick, appended in strictly
@@ -22,7 +28,7 @@
 //! never-crashing process must have been received at least once).
 
 use crate::{ActionId, Event, HistoryView, ModelError, ProcSet, ProcessId, SuspectReport, Time};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -54,43 +60,86 @@ impl fmt::Display for Point {
     }
 }
 
-/// Per-process event log: times and events in two parallel vectors so local
-/// history prefixes can be returned as plain `&[Event<M>]` slices.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-struct ProcessLog<M> {
-    times: Vec<Time>,
-    events: Vec<Event<M>>,
-}
-
-impl<M> Default for ProcessLog<M> {
-    fn default() -> Self {
-        ProcessLog {
-            times: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-}
-
-impl<M> ProcessLog<M> {
-    /// Number of events with time ≤ `m` (valid because times are strictly
-    /// increasing).
-    fn prefix_len(&self, m: Time) -> usize {
-        self.times.partition_point(|&t| t <= m)
-    }
+/// Number of events in a tick-sorted log with tick ≤ `m` (valid because a
+/// process's ticks strictly increase, R2).
+fn prefix_len(times: &[Time], m: Time) -> usize {
+    times.partition_point(|&t| t <= m)
 }
 
 /// A finite run prefix: per-process time-stamped histories up to a horizon.
 ///
 /// The run covers ticks `0 ..= horizon()`; by R1 every history is empty at
 /// tick 0, and events carry ticks in `1 ..= horizon()`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Stored flat (see the module docs): every event of the run in
+/// one boxed slice, process-major, and their ticks in step with them in
+/// another. The tick slice starts with `n` segment ends: process `p`'s
+/// events are `events[ends[p - 1] .. ends[p]]` (from 0 for `p = 0`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Run<M> {
     n: usize,
     horizon: Time,
-    logs: Vec<ProcessLog<M>>,
+    /// The `n` segment ends, then every event's tick, process-major.
+    ticks: Box<[Time]>,
+    /// Every event, process-major, in step with `ticks[n..]`.
+    events: Box<[Event<M>]>,
 }
 
 impl<M> Run<M> {
+    /// Lays `logs` (each process's ticks and events, in process order, of
+    /// `total` events in all) out flat.
+    fn flatten<T, E>(
+        n: usize,
+        horizon: Time,
+        total: usize,
+        logs: impl IntoIterator<Item = (T, E)>,
+    ) -> Self
+    where
+        T: IntoIterator<Item = Time>,
+        E: IntoIterator<Item = Event<M>>,
+    {
+        let mut ticks = Vec::with_capacity(n + total);
+        ticks.resize(n, 0);
+        let mut events = Vec::with_capacity(total);
+        let mut logs = logs.into_iter();
+        for p in 0..n {
+            let (times, log) = logs.next().expect("one log per process");
+            ticks.extend(times);
+            events.extend(log);
+            assert_eq!(
+                ticks.len() - n,
+                events.len(),
+                "a log's ticks and events differ in length"
+            );
+            ticks[p] = events.len() as Time;
+        }
+        assert!(logs.next().is_none(), "more logs than processes");
+        assert_eq!(
+            events.len(),
+            total,
+            "the logs hold {} events, not {total}",
+            events.len()
+        );
+        Run {
+            n,
+            horizon,
+            ticks: ticks.into_boxed_slice(),
+            events: events.into_boxed_slice(),
+        }
+    }
+
+    /// `p`'s ticks and events.
+    fn log(&self, p: ProcessId) -> (&[Time], &[Event<M>]) {
+        let ends = &self.ticks[..self.n];
+        let i = p.index();
+        let end = ends[i] as usize;
+        let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+        (
+            &self.ticks[self.n + start..self.n + end],
+            &self.events[start..end],
+        )
+    }
+
     /// The number of processes `n = |Proc|`.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -110,7 +159,7 @@ impl<M> Run<M> {
     /// Panics if `p` is out of range for this run's system size.
     #[must_use]
     pub fn history(&self, p: ProcessId) -> &[Event<M>] {
-        &self.logs[p.index()].events
+        self.log(p).1
     }
 
     /// The local history prefix `r_p(m)`: all events of `p` with tick ≤ `m`.
@@ -120,8 +169,8 @@ impl<M> Run<M> {
     /// Panics if `p` is out of range for this run's system size.
     #[must_use]
     pub fn history_at(&self, p: ProcessId, m: Time) -> &[Event<M>] {
-        let log = &self.logs[p.index()];
-        &log.events[..log.prefix_len(m)]
+        let (times, events) = self.log(p);
+        &events[..prefix_len(times, m)]
     }
 
     /// [`HistoryView`] over `r_p(m)`.
@@ -132,16 +181,16 @@ impl<M> Run<M> {
 
     /// Iterates over `p`'s events together with their ticks.
     pub fn timed_history(&self, p: ProcessId) -> impl Iterator<Item = (Time, &Event<M>)> {
-        let log = &self.logs[p.index()];
-        log.times.iter().copied().zip(log.events.iter())
+        let (times, events) = self.log(p);
+        times.iter().copied().zip(events)
     }
 
     /// The tick at which `p` crashed, if it is faulty in this run.
     #[must_use]
     pub fn crash_time(&self, p: ProcessId) -> Option<Time> {
-        let log = &self.logs[p.index()];
-        match log.events.last() {
-            Some(Event::Crash) => Some(*log.times.last().expect("nonempty")),
+        let (times, events) = self.log(p);
+        match events.last() {
+            Some(Event::Crash) => times.last().copied(),
             _ => None,
         }
     }
@@ -180,33 +229,26 @@ impl<M> Run<M> {
     /// prefix). Useful when reasoning about when knowledge was acquired.
     #[must_use]
     pub fn last_event_time(&self, p: ProcessId, at: Time) -> Time {
-        let log = &self.logs[p.index()];
-        let len = log.prefix_len(at);
-        if len == 0 {
-            0
-        } else {
-            log.times[len - 1]
+        let times = self.log(p).0;
+        match prefix_len(times, at) {
+            0 => 0,
+            len => times[len - 1],
         }
     }
 
     /// Total number of events in the run, across all processes.
     #[must_use]
     pub fn event_count(&self) -> usize {
-        self.logs.iter().map(|l| l.events.len()).sum()
+        self.events.len()
     }
 
     /// Number of `Send` events in the run (a message-complexity measure).
     #[must_use]
     pub fn send_count_total(&self) -> usize {
-        self.logs
+        self.events
             .iter()
-            .map(|l| {
-                l.events
-                    .iter()
-                    .filter(|e| matches!(e, Event::Send { .. }))
-                    .count()
-            })
-            .sum()
+            .filter(|e| matches!(e, Event::Send { .. }))
+            .count()
     }
 
     /// Every action initiated anywhere in the run, with its initiation tick.
@@ -224,13 +266,12 @@ impl<M> Run<M> {
         Run {
             n: self.n,
             horizon: self.horizon,
-            logs: self
-                .logs
+            ticks: self.ticks,
+            events: self
+                .events
+                .into_vec()
                 .into_iter()
-                .map(|log| ProcessLog {
-                    times: log.times,
-                    events: log.events.into_iter().map(|e| e.map_msg(&mut f)).collect(),
-                })
+                .map(|e| e.map_msg(&mut f))
                 .collect(),
         }
     }
@@ -245,21 +286,82 @@ impl<M> Run<M> {
         M: Clone,
     {
         let horizon = m.min(self.horizon);
-        Run {
-            n: self.n,
+        let logs = ProcessId::all(self.n).map(|p| {
+            let (times, events) = self.log(p);
+            let len = prefix_len(times, horizon);
+            (&times[..len], &events[..len])
+        });
+        let total = logs.clone().map(|(times, _)| times.len()).sum();
+        Run::flatten(
+            self.n,
             horizon,
-            logs: self
-                .logs
-                .iter()
-                .map(|log| {
-                    let len = log.prefix_len(horizon);
-                    ProcessLog {
-                        times: log.times[..len].to_vec(),
-                        events: log.events[..len].to_vec(),
-                    }
+            total,
+            logs.map(|(times, events)| (times.iter().copied(), events.iter().cloned())),
+        )
+    }
+}
+
+/// The JSON shape of a [`Run`]: `{n, horizon, logs: [{times, events}]}`,
+/// one log per process, so that a serialized run does not depend on how
+/// [`Run`] is laid out in memory.
+#[derive(Serialize, Deserialize)]
+struct RunRepr<L> {
+    n: usize,
+    horizon: Time,
+    logs: Vec<L>,
+}
+
+/// One process's log within a [`RunRepr`]: its ticks, and its events.
+#[derive(Serialize, Deserialize)]
+struct LogRepr<T, E> {
+    times: T,
+    events: E,
+}
+
+impl<M: Serialize> Serialize for Run<M> {
+    fn to_value(&self) -> Value {
+        RunRepr {
+            n: self.n,
+            horizon: self.horizon,
+            logs: ProcessId::all(self.n)
+                .map(|p| {
+                    let (times, events) = self.log(p);
+                    LogRepr { times, events }
                 })
                 .collect(),
         }
+        .to_value()
+    }
+}
+
+impl<M: Deserialize> Deserialize for Run<M> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let repr = RunRepr::<LogRepr<Vec<Time>, Vec<Event<M>>>>::from_value(v)?;
+        if repr.logs.len() != repr.n {
+            return Err(DeError(format!(
+                "a run of {} processes with {} logs",
+                repr.n,
+                repr.logs.len()
+            )));
+        }
+        if let Some(p) = repr
+            .logs
+            .iter()
+            .position(|log| log.times.len() != log.events.len())
+        {
+            return Err(DeError(format!(
+                "process {p}'s log has {} ticks for {} events",
+                repr.logs[p].times.len(),
+                repr.logs[p].events.len()
+            )));
+        }
+        let total = repr.logs.iter().map(|log| log.events.len()).sum();
+        Ok(Run::flatten(
+            repr.n,
+            repr.horizon,
+            total,
+            repr.logs.into_iter().map(|log| (log.times, log.events)),
+        ))
     }
 }
 
@@ -281,12 +383,12 @@ impl<M: Eq> Run<M> {
             return false;
         }
         ProcessId::all(self.n).all(|p| {
-            let a = &self.logs[p.index()];
-            let b = &other.logs[p.index()];
-            let len = a.prefix_len(m);
-            b.prefix_len(m) == len
-                && a.events[..len] == b.events[..len]
-                && a.times[..len] == b.times[..len]
+            let (a_times, a_events) = self.log(p);
+            let (b_times, b_events) = other.log(p);
+            let len = prefix_len(a_times, m);
+            prefix_len(b_times, m) == len
+                && a_events[..len] == b_events[..len]
+                && a_times[..len] == b_times[..len]
         })
     }
 }
@@ -308,10 +410,9 @@ impl<M: Eq + Hash + Clone> Run<M> {
         // R2 + R4 + horizon bounds + init constraints, per process.
         let mut inits: HashMap<ActionId, ProcessId> = HashMap::new();
         for p in ProcessId::all(self.n) {
-            let log = &self.logs[p.index()];
             let mut last: Option<Time> = None;
             let mut crashed = false;
-            for (i, (&t, e)) in log.times.iter().zip(log.events.iter()).enumerate() {
+            for (t, e) in self.timed_history(p) {
                 if t == 0 || t > self.horizon {
                     return Err(ModelError::BeyondHorizon {
                         time: t,
@@ -349,7 +450,6 @@ impl<M: Eq + Hash + Clone> Run<M> {
                     }
                     _ => {}
                 }
-                let _ = i;
             }
         }
 
@@ -407,6 +507,23 @@ impl<M: Eq + Hash + Clone> Run<M> {
             }
         }
         Ok(())
+    }
+}
+
+/// One process's log within a [`RunBuilder`]: times and events in two
+/// parallel vectors, so appending and undoing are a push and a pop.
+#[derive(Clone, Debug)]
+struct ProcessLog<M> {
+    times: Vec<Time>,
+    events: Vec<Event<M>>,
+}
+
+impl<M> Default for ProcessLog<M> {
+    fn default() -> Self {
+        ProcessLog {
+            times: Vec::new(),
+            events: Vec::new(),
+        }
     }
 }
 
@@ -697,11 +814,13 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
     #[must_use]
     pub fn finish(self, horizon: Time) -> Run<M> {
         self.assert_horizon(horizon);
-        Run {
-            n: self.n,
+        let total = self.event_count();
+        Run::flatten(
+            self.n,
             horizon,
-            logs: self.logs,
-        }
+            total,
+            self.logs.into_iter().map(|log| (log.times, log.events)),
+        )
     }
 
     /// Like [`RunBuilder::finish`], but leaves the builder usable: only the
@@ -714,11 +833,18 @@ impl<M: Eq + Hash + Clone> RunBuilder<M> {
     #[must_use]
     pub fn snapshot(&self, horizon: Time) -> Run<M> {
         self.assert_horizon(horizon);
-        Run {
-            n: self.n,
+        Run::flatten(
+            self.n,
             horizon,
-            logs: self.logs.clone(),
-        }
+            self.event_count(),
+            self.logs
+                .iter()
+                .map(|log| (log.times.iter().copied(), log.events.iter().cloned())),
+        )
+    }
+
+    fn event_count(&self) -> usize {
+        self.logs.iter().map(|log| log.events.len()).sum()
     }
 
     fn assert_horizon(&self, horizon: Time) {
@@ -1129,6 +1255,36 @@ mod tests {
         // and a spot check.
         assert_eq!(back.event_count(), r.event_count());
         assert_eq!(back.horizon(), r.horizon());
+    }
+
+    /// The JSON shape is one `{times, events}` log per process, byte for
+    /// byte, whatever the in-memory layout.
+    #[test]
+    fn json_shape_is_pinned() {
+        const JSON: &str = concat!(
+            r#"{"n":2,"horizon":6,"logs":["#,
+            r#"{"times":[1,2,3],"events":[{"Init":{"action":{"initiator":0,"seq":0}}},"#,
+            r#"{"Send":{"to":1,"msg":"m"}},{"Do":{"action":{"initiator":0,"seq":0}}}]},"#,
+            r#"{"times":[3,4],"events":[{"Recv":{"from":0,"msg":"m"}},"#,
+            r#"{"Do":{"action":{"initiator":0,"seq":0}}}]}]}"#,
+        );
+        let r = two_proc_run();
+        assert_eq!(serde_json::to_string(&r).unwrap(), JSON);
+        assert_eq!(serde_json::from_str::<Run<&str>>(JSON).unwrap(), r);
+    }
+
+    /// The flat layout needs one log per process, and a tick per event.
+    #[test]
+    fn malformed_json_logs_are_refused() {
+        let crashed = r#"{"n":1,"horizon":6,"logs":[{"times":[2],"events":["Crash"]}]}"#;
+        let run = serde_json::from_str::<Run<u8>>(crashed).unwrap();
+        assert_eq!(run.crash_time(p(0)), Some(2));
+        for json in [
+            r#"{"n":2,"horizon":6,"logs":[{"times":[],"events":[]}]}"#,
+            r#"{"n":1,"horizon":6,"logs":[{"times":[1,2],"events":["Crash"]}]}"#,
+        ] {
+            assert!(serde_json::from_str::<Run<u8>>(json).is_err(), "{json}");
+        }
     }
 
     #[test]

@@ -17,6 +17,16 @@
 //! in first-encounter order over (process, run, tick), so they are
 //! deterministic for a given run list.
 //!
+//! The index is compressed sparse rows (CSR). The trie pass only names each
+//! prefix's class and counts each class's blocks; a second pass, with no
+//! hashing, walks the prefixes again and places every block at its class's
+//! cursor in one `blocks` buffer, so class `c` owns
+//! `blocks[class_starts[c] .. class_starts[c + 1]]`, in run order. Each
+//! [`IndistinguishableBlock`] is 16 bytes of `u32`s, so run indices, ticks,
+//! prefix lengths, class ids and the counts of blocks and prefixes must
+//! each fit in `u32`; [`System::new`] panics, naming the limit, when one
+//! does not.
+//!
 //! A query is then the run's own binary search for the prefix length plus a
 //! slice borrow: no hashing, no history comparison, no allocation. The
 //! epistemic checker leans on this heavily — it evaluates `K_p` once per
@@ -25,33 +35,47 @@
 use crate::{Event, Point, ProcessId, Run, Time};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 /// A contiguous block of points of one run sharing a local history for some
 /// process: ticks `from ..= to` of run `run`, at which the process's history
 /// prefix has length `len`.
+///
+/// Sixteen bytes: a system's run indices, ticks and prefix lengths must fit
+/// in `u32` (see [`System::new`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndistinguishableBlock {
     /// Run index within the system.
-    pub run: usize,
+    pub run: u32,
     /// First tick of the block.
-    pub from: Time,
+    pub from: u32,
     /// Last tick of the block (inclusive).
-    pub to: Time,
+    pub to: u32,
     /// Length of the local history prefix throughout the block.
-    pub len: usize,
+    pub len: u32,
 }
 
 impl IndistinguishableBlock {
     /// Iterates the points of the block.
     pub fn points(self) -> impl Iterator<Item = Point> {
-        (self.from..=self.to).map(move |t| Point::new(self.run, t))
+        let run = self.run as usize;
+        self.ticks().map(move |t| Point::new(run, t))
     }
 
     /// Number of points in the block.
     #[must_use]
     pub fn point_count(self) -> usize {
         (self.to - self.from) as usize + 1
+    }
+
+    /// Whether `pt` is one of the block's points.
+    #[must_use]
+    pub fn contains(self, pt: Point) -> bool {
+        pt.run == self.run as usize && self.ticks().contains(&pt.time)
+    }
+
+    fn ticks(self) -> RangeInclusive<Time> {
+        Time::from(self.from)..=Time::from(self.to)
     }
 }
 
@@ -84,13 +108,16 @@ impl IndistinguishableBlock {
 pub struct System<M> {
     runs: Vec<Run<M>>,
     n: usize,
-    /// `classes[cid]` = the blocks of one `~_p` equivalence class, in run
-    /// order. Class ids are grouped by process (see `class_offsets`) and
+    /// The blocks of every `~_p` class, class after class: class `c` owns
+    /// `blocks[class_starts[c] .. class_starts[c + 1]]`, in run order.
+    blocks: Vec<IndistinguishableBlock>,
+    /// Start of each class's blocks, plus a final entry = `blocks.len()`.
+    /// Class ids are grouped by process (see `class_offsets`) and
     /// assigned in first-encounter order over (process, run, tick).
-    classes: Vec<Vec<IndistinguishableBlock>>,
+    class_starts: Vec<u32>,
     /// `class_offsets[p] .. class_offsets[p + 1]` is the id range of
     /// process `p`'s classes. Length `n + 1`.
-    class_offsets: Vec<usize>,
+    class_offsets: Vec<u32>,
     /// `prefix_classes[prefix_offsets[p · runs + ri] + len]` = the class of
     /// `p`'s history prefix of length `len` in run `ri`, for `len` in
     /// `0 ..= events`. A point's prefix length is the run's own binary
@@ -107,9 +134,10 @@ impl<M: Eq + Hash> System<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the runs disagree on the number of processes, or if `runs`
+    /// Panics if the runs disagree on the number of processes, if `runs`
     /// is empty (a system must be nonempty for knowledge to be well
-    /// defined).
+    /// defined), or if a run index, a tick, a class id or a count of
+    /// blocks or history prefixes exceeds `u32::MAX`.
     #[must_use]
     pub fn new(runs: Vec<Run<M>>) -> Self {
         assert!(!runs.is_empty(), "a system must contain at least one run");
@@ -119,11 +147,14 @@ impl<M: Eq + Hash> System<M> {
             "all runs of a system must share the same process set"
         );
         let id = |x: usize| u32::try_from(x).expect("a system index beyond u32::MAX");
+        let tick = |t: Time| u32::try_from(t).expect("a system tick beyond u32::MAX");
         // One entry per history prefix: `events + 1` per (process, run).
         let prefixes = runs.iter().map(Run::event_count).sum::<usize>() + n * runs.len();
         let mut prefix_classes = Vec::with_capacity(prefixes);
         let mut prefix_offsets = Vec::with_capacity(n * runs.len() + 1);
-        let mut classes: Vec<Vec<IndistinguishableBlock>> = Vec::new();
+        // Pass 1 names the class of every prefix and counts each class's
+        // blocks in `class_starts[class + 1]`.
+        let mut class_starts = vec![0u32];
         let mut class_offsets = Vec::with_capacity(n + 1);
         class_offsets.push(0);
         // `p`'s history trie, whose nodes are the classes: the child of
@@ -133,23 +164,18 @@ impl<M: Eq + Hash> System<M> {
         let mut last_child: Vec<Option<(&Event<M>, u32)>> = Vec::new();
         for p in ProcessId::all(n) {
             trie.clear();
-            let root = id(classes.len());
-            classes.push(Vec::new());
+            let root = id(last_child.len());
+            class_starts.push(0);
             last_child.push(None);
-            for (ri, run) in runs.iter().enumerate() {
+            for run in &runs {
                 prefix_offsets.push(id(prefix_classes.len()));
                 let (mut class, mut from) = (root, 0);
                 // Event ticks partition [0, horizon] into blocks of constant
                 // history, one block per prefix.
                 let ends = run.timed_history(p).map(|(t, e)| (t, Some(e)));
-                for (len, (end, event)) in ends.chain([(run.horizon() + 1, None)]).enumerate() {
+                for (end, event) in ends.chain([(run.horizon() + 1, None)]) {
                     if end > from {
-                        classes[class as usize].push(IndistinguishableBlock {
-                            run: ri,
-                            from,
-                            to: end - 1,
-                            len,
-                        });
+                        class_starts[class as usize + 1] += 1;
                     }
                     prefix_classes.push(class);
                     if let Some(event) = event {
@@ -159,9 +185,9 @@ impl<M: Eq + Hash> System<M> {
                             Some((e, c)) if e == event => c,
                             _ => {
                                 let c = *trie.entry((class, event)).or_insert_with(|| {
-                                    classes.push(Vec::new());
+                                    class_starts.push(0);
                                     last_child.push(None);
-                                    id(classes.len() - 1)
+                                    id(last_child.len() - 1)
                                 });
                                 last_child[class as usize] = Some((event, c));
                                 c
@@ -171,13 +197,61 @@ impl<M: Eq + Hash> System<M> {
                     from = end;
                 }
             }
-            class_offsets.push(classes.len());
+            class_offsets.push(id(last_child.len()));
         }
         prefix_offsets.push(id(prefix_classes.len()));
+        drop((trie, last_child));
+        let mut total = 0u32;
+        for start in &mut class_starts {
+            total = total
+                .checked_add(*start)
+                .expect("a system with more than u32::MAX blocks");
+            *start = total;
+        }
+        // Now `class_starts[c]` is where class `c`'s blocks start. Pass 2
+        // needs no trie: it walks the prefixes again in the same order,
+        // takes each one's class from `prefix_classes`, and places its
+        // block at the class's cursor `class_starts[c]`, so every class
+        // keeps its blocks in run order.
+        let mut blocks = vec![
+            IndistinguishableBlock {
+                run: 0,
+                from: 0,
+                to: 0,
+                len: 0,
+            };
+            total as usize
+        ];
+        let mut classes = prefix_classes.iter();
+        for p in ProcessId::all(n) {
+            for (ri, run) in runs.iter().enumerate() {
+                let mut from = 0;
+                let ends = run.timed_history(p).map(|(t, _)| t);
+                for (len, end) in ends.chain([run.horizon() + 1]).enumerate() {
+                    let class = *classes.next().expect("pass 1 named every prefix");
+                    if end > from {
+                        let cursor = &mut class_starts[class as usize];
+                        blocks[*cursor as usize] = IndistinguishableBlock {
+                            run: id(ri),
+                            from: tick(from),
+                            to: tick(end - 1),
+                            len: id(len),
+                        };
+                        *cursor += 1;
+                    }
+                    from = end;
+                }
+            }
+        }
+        // Each cursor stopped at its class's end, the next class's start:
+        // shift them up one slot to get the starts back.
+        class_starts.rotate_right(1);
+        class_starts[0] = 0;
         System {
             runs,
             n,
-            classes,
+            blocks,
+            class_starts,
             class_offsets,
             prefix_classes,
             prefix_offsets,
@@ -201,7 +275,7 @@ impl<M> System<M> {
         run: usize,
         m: Time,
     ) -> &[IndistinguishableBlock] {
-        &self.classes[self.class_id(p, run, m) as usize]
+        self.class_blocks(self.class_id(p, run, m))
     }
 
     /// The equivalence-class id of point `(run, m)` under `~_p`. Ids are
@@ -226,7 +300,8 @@ impl<M> System<M> {
     /// Panics if `id` is not a class id of this system.
     #[must_use]
     pub fn class_blocks(&self, id: u32) -> &[IndistinguishableBlock] {
-        &self.classes[id as usize]
+        let id = id as usize;
+        &self.blocks[self.class_starts[id] as usize..self.class_starts[id + 1] as usize]
     }
 
     /// The id range of process `p`'s equivalence classes; together with
@@ -234,15 +309,13 @@ impl<M> System<M> {
     /// without touching individual points.
     #[must_use]
     pub fn class_range(&self, p: ProcessId) -> Range<u32> {
-        let lo = self.class_offsets[p.index()] as u32;
-        let hi = self.class_offsets[p.index() + 1] as u32;
-        lo..hi
+        self.class_offsets[p.index()]..self.class_offsets[p.index() + 1]
     }
 
     /// Total number of equivalence classes over all processes.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.classes.len()
+        self.class_starts.len() - 1
     }
 
     /// The number of processes shared by every run.
@@ -315,17 +388,21 @@ mod tests {
     #[test]
     fn blocks_partition_the_timeline() {
         let sys = System::new(vec![send_run(2, 5)]);
+        let block = |run, from, to, len| IndistinguishableBlock { run, from, to, len };
         // p0's history is empty on [0,1] and has one event on [2,5].
-        let empty_blocks = sys.indistinguishable_blocks(p(0), 0, 0);
-        assert_eq!(empty_blocks.len(), 1);
-        assert_eq!((empty_blocks[0].from, empty_blocks[0].to), (0, 1));
-        assert_eq!(empty_blocks[0].len, 0);
-        let sent_blocks = sys.indistinguishable_blocks(p(0), 0, 3);
-        assert_eq!(sent_blocks.len(), 1);
-        assert_eq!((sent_blocks[0].from, sent_blocks[0].to), (2, 5));
+        assert_eq!(
+            sys.indistinguishable_blocks(p(0), 0, 0),
+            [block(0, 0, 1, 0)]
+        );
+        assert_eq!(
+            sys.indistinguishable_blocks(p(0), 0, 3),
+            [block(0, 2, 5, 1)]
+        );
         // p1 never observes anything: one block covering everything.
-        let p1_blocks = sys.indistinguishable_blocks(p(1), 0, 4);
-        assert_eq!((p1_blocks[0].from, p1_blocks[0].to), (0, 5));
+        assert_eq!(
+            sys.indistinguishable_blocks(p(1), 0, 4),
+            [block(0, 0, 5, 0)]
+        );
     }
 
     #[test]
@@ -334,13 +411,18 @@ mod tests {
         // histories coincide, so the classes span both runs.
         let sys = System::new(vec![send_run(1, 4), send_run(3, 4)]);
         let blocks = sys.indistinguishable_blocks(p(0), 0, 2);
-        let runs: Vec<usize> = blocks.iter().map(|b| b.run).collect();
+        let runs: Vec<u32> = blocks.iter().map(|b| b.run).collect();
         assert_eq!(runs, vec![0, 1]);
-        // Point expansion covers the right ticks.
+        // Point expansion covers the right ticks, as does `contains`.
         let pts: Vec<Point> = blocks.iter().flat_map(|b| b.points()).collect();
-        assert!(pts.contains(&Point::new(0, 1)));
-        assert!(pts.contains(&Point::new(1, 3)));
-        assert!(!pts.contains(&Point::new(1, 2))); // history still empty there
+        for (pt, inside) in [
+            (Point::new(0, 1), true),
+            (Point::new(1, 3), true),
+            (Point::new(1, 2), false), // history still empty there
+        ] {
+            assert_eq!(pts.contains(&pt), inside);
+            assert_eq!(blocks.iter().any(|b| b.contains(pt)), inside);
+        }
     }
 
     #[test]
@@ -350,9 +432,7 @@ mod tests {
             for q in ProcessId::all(2) {
                 let blocks = sys.indistinguishable_blocks(q, pt.run, pt.time);
                 assert!(
-                    blocks
-                        .iter()
-                        .any(|b| b.run == pt.run && b.from <= pt.time && pt.time <= b.to),
+                    blocks.iter().any(|b| b.contains(pt)),
                     "point {pt} missing from its own ~_{q} class"
                 );
             }
@@ -395,10 +475,7 @@ mod tests {
             for pt in sys.points() {
                 let cid = sys.class_id(q, pt.run, pt.time);
                 assert!(range.contains(&cid));
-                assert!(sys
-                    .class_blocks(cid)
-                    .iter()
-                    .any(|b| b.run == pt.run && b.from <= pt.time && pt.time <= b.to));
+                assert!(sys.class_blocks(cid).iter().any(|b| b.contains(pt)));
                 assert_eq!(
                     sys.class_blocks(cid),
                     sys.indistinguishable_blocks(q, pt.run, pt.time)
@@ -436,6 +513,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn blocks_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<IndistinguishableBlock>(), 16);
+    }
+
+    #[test]
+    fn contains_is_the_points_of_the_block() {
+        let b = IndistinguishableBlock {
+            run: 2,
+            from: 3,
+            to: 5,
+            len: 1,
+        };
+        for run in 0..4 {
+            for time in 0..8 {
+                let pt = Point::new(run, time);
+                assert_eq!(b.contains(pt), b.points().any(|q| q == pt), "{pt}");
+            }
+        }
+    }
+
+    /// A horizon past `u32::MAX` cannot be a block's tick. The run has no
+    /// events, and `System::new` allocates per history prefix, never per
+    /// point, so the guard is reached without touching 2³² points.
+    #[test]
+    #[should_panic(expected = "tick beyond u32::MAX")]
+    fn ticks_beyond_u32_panic() {
+        let horizon = Time::from(u32::MAX) + 1;
+        let _ = System::new(vec![RunBuilder::<u8>::new(1).finish(horizon)]);
     }
 
     #[test]

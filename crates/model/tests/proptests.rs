@@ -12,32 +12,48 @@ fn script_strategy() -> impl Strategy<Value = Vec<(usize, u64, u8, usize)>> {
     proptest::collection::vec((0usize..4, 1u64..30, 0u8..6, 0usize..4), 0..80)
 }
 
-fn build_from_script(script: &[(usize, u64, u8, usize)]) -> Run<u16> {
+/// The event a script entry tries to append.
+fn script_event(p: ProcessId, t: u64, kind: u8, q: ProcessId) -> Event<u16> {
+    match kind {
+        0 => Event::Send {
+            to: q,
+            msg: (t % 7) as u16,
+        },
+        1 => Event::Recv {
+            from: q,
+            msg: (t % 7) as u16,
+        },
+        2 => Event::Init {
+            action: ActionId::new(p, (t % 3) as u32),
+        },
+        3 => Event::Do {
+            action: ActionId::new(q, (t % 3) as u32),
+        },
+        4 => Event::Crash,
+        _ => Event::Suspect(SuspectReport::Standard(ProcSet::singleton(q))),
+    }
+}
+
+/// One process's committed `(tick, event)` list.
+type Log = Vec<(u64, Event<u16>)>;
+
+/// Replays `script` on a fresh builder, and returns it with what was
+/// committed, per process.
+fn replay(script: &[(usize, u64, u8, usize)]) -> (RunBuilder<u16>, Vec<Log>) {
     let mut b = RunBuilder::<u16>::new(4);
+    let mut logs = vec![Vec::new(); 4];
     for &(pi, t, kind, other) in script {
         let p = ProcessId::new(pi);
-        let q = ProcessId::new(other);
-        let event = match kind {
-            0 => Event::Send {
-                to: q,
-                msg: (t % 7) as u16,
-            },
-            1 => Event::Recv {
-                from: q,
-                msg: (t % 7) as u16,
-            },
-            2 => Event::Init {
-                action: ActionId::new(p, (t % 3) as u32),
-            },
-            3 => Event::Do {
-                action: ActionId::new(q, (t % 3) as u32),
-            },
-            4 => Event::Crash,
-            _ => Event::Suspect(SuspectReport::Standard(ProcSet::singleton(q))),
-        };
-        let _ = b.append(p, t, event);
+        let event = script_event(p, t, kind, ProcessId::new(other));
+        if b.append(p, t, event.clone()).is_ok() {
+            logs[pi].push((t, event));
+        }
     }
-    b.finish(35)
+    (b, logs)
+}
+
+fn build_from_script(script: &[(usize, u64, u8, usize)]) -> Run<u16> {
+    replay(script).0.finish(35)
 }
 
 proptest! {
@@ -56,6 +72,55 @@ proptest! {
         let json = serde_json::to_string(&run).unwrap();
         let back: Run<u16> = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, run);
+    }
+
+    /// The flat layout against the logs it was built from: `finish` and
+    /// `snapshot` of one builder agree with each other, and with the
+    /// per-process `(tick, event)` lists the script committed, on every
+    /// accessor, for every process and every tick.
+    #[test]
+    fn flat_runs_match_their_logs(script in script_strategy()) {
+        const HORIZON: u64 = 35;
+        let (b, logs) = replay(&script);
+        let snapshot = b.snapshot(HORIZON);
+        let finished = b.finish(HORIZON);
+        prop_assert_eq!(&snapshot, &finished);
+        prop_assert_eq!(finished.check_conditions(0), Ok(()));
+        prop_assert_eq!(snapshot.check_conditions(0), Ok(()));
+        prop_assert_eq!(finished.event_count(), logs.iter().map(Vec::len).sum::<usize>());
+        let tripled = finished.clone().map_msg(|msg| u32::from(msg) * 3);
+        for run in [&snapshot, &finished] {
+            for p in ProcessId::all(4) {
+                let log = &logs[p.index()];
+                let events: Vec<Event<u16>> = log.iter().map(|(_, e)| e.clone()).collect();
+                prop_assert_eq!(run.history(p), &events[..]);
+                let timed: Vec<(u64, Event<u16>)> =
+                    run.timed_history(p).map(|(t, e)| (t, e.clone())).collect();
+                prop_assert_eq!(&timed, log);
+                let crash = match log.last() {
+                    Some((t, Event::Crash)) => Some(*t),
+                    _ => None,
+                };
+                prop_assert_eq!(run.crash_time(p), crash);
+                let mapped: Vec<Event<u32>> = events
+                    .iter()
+                    .map(|e| e.clone().map_msg(|msg| u32::from(msg) * 3))
+                    .collect();
+                prop_assert_eq!(tripled.history(p), &mapped[..]);
+                for m in 0..=HORIZON {
+                    let len = log.iter().filter(|(t, _)| *t <= m).count();
+                    prop_assert_eq!(run.history_at(p, m), &events[..len]);
+                    let last = if len == 0 { 0 } else { log[len - 1].0 };
+                    prop_assert_eq!(run.last_event_time(p, m), last);
+                    let prefix = run.prefix(m);
+                    prop_assert_eq!(prefix.horizon(), m);
+                    prop_assert_eq!(prefix.history(p), &events[..len]);
+                    prop_assert!(prefix.is_extended_by(m, &finished));
+                    prop_assert!(prefix.is_extended_by(m, &snapshot));
+                    prop_assert_eq!(prefix.check_conditions(0), Ok(()));
+                }
+            }
+        }
     }
 
     /// Prefixes: `run.prefix(m)` is extended by `run` at every `m`, has the
@@ -126,6 +191,7 @@ proptest! {
                 let cid = sys.class_id(p, pt.run, pt.time);
                 prop_assert_eq!(cid, range.start + rank as u32, "class of {} for {}", pt, p);
                 prop_assert_eq!(sys.indistinguishable_blocks(p, pt.run, pt.time), sys.class_blocks(cid));
+                prop_assert_eq!(sys.class_blocks(cid).iter().filter(|b| b.contains(pt)).count(), 1);
             }
             prop_assert_eq!(range.len(), histories.len());
             let mut covered = 0;
@@ -136,7 +202,7 @@ proptest! {
                 for b in blocks {
                     for pt in b.points() {
                         prop_assert_eq!(sys.class_id(p, pt.run, pt.time), cid);
-                        prop_assert_eq!(sys.run(pt.run).history_at(p, pt.time).len(), b.len);
+                        prop_assert_eq!(sys.run(pt.run).history_at(p, pt.time).len(), b.len as usize);
                         covered += 1;
                     }
                 }
